@@ -92,6 +92,21 @@ cargo run --release --quiet --example cluster_scaling -- --quick --json > /tmp/c
 diff /tmp/ci_golden_cluster.json data/golden/cluster_scaling_quick.json
 rm -f /tmp/ci_golden_fleet.json /tmp/ci_golden_cluster.json
 
+# Benchmark correctness gate: the serving workloads' own checks
+# (conservation, zero posture violations, identical digests across the
+# traced and untraced passes). Only the verdict is gated, never a timing.
+for w in serve-attested serve-elastic; do
+  echo "==> benchmark correctness: $w (verdict only; timings not gated)"
+  python3 benchmark/run.py --workload "$w" --seed 1 --seconds 5 --trace 0 \
+    | tail -n 1 > /tmp/ci_bench_verdict.json
+  cat /tmp/ci_bench_verdict.json
+  python3 -c 'import json, sys
+r = json.load(open(sys.argv[1]))
+sys.exit(0 if r["correct"] is True and r["failed"] == 0 else 1)' /tmp/ci_bench_verdict.json \
+    || { echo "BENCHMARK CHECK FAILED: $w"; exit 1; }
+  rm -f /tmp/ci_bench_verdict.json
+done
+
 bench_snapshot partition_drill   BENCH_net.json      --quick
 bench_snapshot attestation_storm BENCH_attplane.json --quick
 bench_snapshot fleet_chaos       BENCH_chaos.json    --quick

@@ -443,7 +443,7 @@ impl AttPlane {
         }
     }
 
-    fn step(&self, label: &str, duration: Nanos) -> WorkStep {
+    fn step(&self, label: &'static str, duration: Nanos) -> WorkStep {
         WorkStep::new(
             ResourceClass::Network,
             PhaseKind::Attestation,

@@ -1372,7 +1372,7 @@ fn trace_table(scale: &ExperimentScale) -> FigureDump {
             .map(|(phase, d)| {
                 let ms = d.as_millis_f64();
                 vec![
-                    phase.clone(),
+                    phase.to_string(),
                     fmt_ms(ms),
                     format!("{:.1}%", 100.0 * ms / total),
                 ]
@@ -1400,7 +1400,7 @@ fn trace_table(scale: &ExperimentScale) -> FigureDump {
                                     .iter()
                                     .map(|(phase, d)| {
                                         Json::obj([
-                                            ("phase", Json::from(phase.clone())),
+                                            ("phase", Json::from(phase.as_str())),
                                             ("ms", Json::from(d.as_millis_f64())),
                                         ])
                                     })

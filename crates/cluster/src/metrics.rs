@@ -108,6 +108,10 @@ pub struct ClusterMetrics {
     pub host_seconds: f64,
     /// End of the last completion on the shared clock.
     pub makespan: Nanos,
+    /// End of the last job other than the net layer's timers (heartbeats,
+    /// suspicion checks, lease renewals, verifier windows), which run on
+    /// to the net horizon. Equals `makespan` with net off.
+    pub serving_end: Nanos,
     /// Per-host slices.
     pub hosts: Vec<HostRollup>,
 }
@@ -136,9 +140,10 @@ impl ClusterMetrics {
         });
     }
 
-    /// Completed requests per second of makespan, summed over hosts.
+    /// Completed requests per second of serving time (up to
+    /// `serving_end`), summed over hosts.
     pub fn goodput_rps(&self) -> f64 {
-        let secs = self.makespan.as_secs_f64();
+        let secs = self.serving_end.as_secs_f64();
         if secs > 0.0 {
             self.completed as f64 / secs
         } else {
@@ -257,6 +262,7 @@ mod tests {
             completed: latencies_ms.len(),
             latencies_ms: latencies_ms.to_vec(),
             makespan: Nanos::from_secs(2),
+            serving_end: Nanos::from_secs(2),
             ..ClusterMetrics::default()
         }
     }
@@ -267,6 +273,16 @@ mod tests {
         let m = rollup_with(&[1.0, 2.0, 3.0, 4.0]);
         assert_eq!(m.p50_ms(), percentile(&[1.0, 2.0, 3.0, 4.0], 50.0));
         assert_eq!(m.p99_ms(), percentile(&[1.0, 2.0, 3.0, 4.0], 99.0));
+        assert_eq!(m.goodput_rps(), 2.0);
+    }
+
+    #[test]
+    fn goodput_ignores_time_past_the_serving_end() {
+        // Net timers ran the makespan on to 10 s; serving ended at 2 s.
+        let m = ClusterMetrics {
+            makespan: Nanos::from_secs(10),
+            ..rollup_with(&[1.0, 2.0, 3.0, 4.0])
+        };
         assert_eq!(m.goodput_rps(), 2.0);
     }
 

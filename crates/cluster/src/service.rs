@@ -38,7 +38,7 @@ use std::collections::BTreeSet;
 
 use sevf_attplane::{AttPlane, AttPlaneConfig, AttPlaneMetrics, Verdict};
 use sevf_fleet::admission::{Pending, SchedPolicy};
-use sevf_fleet::blueprint::{Blueprint, Catalog, LaunchCache};
+use sevf_fleet::blueprint::{launch_job, Blueprint, Catalog, LaunchCache};
 use sevf_fleet::metrics::FleetMetrics;
 use sevf_fleet::pool::WarmPool;
 use sevf_fleet::recovery::{CircuitBreaker, RecoveryConfig};
@@ -538,6 +538,24 @@ enum JobKind {
     AutoscaleTick,
 }
 
+impl JobKind {
+    /// The net layer's own timers: heartbeats, suspicion checks, lease
+    /// grants, renewals and expiries, verifier windows. They run on to the
+    /// net horizon whether or not any request is still being served.
+    fn is_net_timer(self) -> bool {
+        matches!(
+            self,
+            JobKind::Heartbeat { .. }
+                | JobKind::SuspectCheck { .. }
+                | JobKind::LeaseRenew { .. }
+                | JobKind::LeaseGrant { .. }
+                | JobKind::LeaseExpire { .. }
+                | JobKind::VerifierDown
+                | JobKind::VerifierUp
+        )
+    }
+}
+
 /// The cluster control plane.
 #[derive(Debug)]
 pub struct ClusterService {
@@ -637,6 +655,8 @@ struct State<'a> {
     /// every mode (it never touches the RNG); consulted by the net layer
     /// to fence stale messages, and asserted at every terminal site.
     done: Vec<bool>,
+    /// Finish of the last job that is not a net timer.
+    serving_end: Nanos,
     /// Dispatch epoch per request: bumped on every routed send so stale
     /// messages from earlier attempts are discarded, not double-counted.
     epoch: Vec<u32>,
@@ -837,6 +857,7 @@ impl ClusterService {
             poisoned_reset: BTreeSet::new(),
             poisoned_lease: BTreeSet::new(),
             done: Vec::new(),
+            serving_end: Nanos::ZERO,
             epoch: Vec::new(),
             net: net_cfg.map(|cfg| {
                 let plan = LinkPlan::generate(self.config.seed, cfg.clone(), self.config.hosts)
@@ -1064,13 +1085,11 @@ impl ClusterService {
         // Feed the recorder the true contended intervals so Step spans land
         // where the resources actually ran them.
         if state.rec.on() {
+            state.rec.resource_names(engine.resource_names());
             for entry in trace.entries() {
-                state.rec.occupy(
-                    engine.resource_name(entry.resource),
-                    entry.job,
-                    entry.start,
-                    entry.end,
-                );
+                state
+                    .rec
+                    .occupy(entry.resource, entry.job, entry.start, entry.end);
             }
         }
         let log = state.rec.build();
@@ -1086,6 +1105,7 @@ impl ClusterService {
         let mut metrics = ClusterMetrics {
             issued: state.issued,
             makespan,
+            serving_end: state.serving_end,
             host_seconds: state.host_secs.iter().sum(),
             ..ClusterMetrics::default()
         };
@@ -1222,6 +1242,9 @@ impl<'a> State<'a> {
     }
 
     fn on_event(&mut self, outcome: &JobOutcome, inject: &mut Vec<Job>) {
+        if !self.meta[outcome.job].is_net_timer() {
+            self.serving_end = self.serving_end.max(outcome.finish);
+        }
         match self.meta[outcome.job] {
             JobKind::Arrival { request } => {
                 self.arrived[request] = outcome.finish;
@@ -2452,7 +2475,7 @@ impl<'a> State<'a> {
             return;
         };
         if tier == ServingTier::WarmPool && self.hosts[host].pool.try_take(class) {
-            let blueprint = self.catalog.class(class).warm_invoke.clone();
+            let blueprint = &self.catalog.class(class).warm_invoke;
             self.inject_launch(request, class, host, blueprint, None, now, inject);
             self.start_refill(host, class, now, inject);
             return;
@@ -2570,12 +2593,12 @@ impl<'a> State<'a> {
         }
         let cb = self.catalog.class(class);
         let (blueprint, fill) = match tier {
-            ServingTier::Cold => (cb.cold.clone(), None),
+            ServingTier::Cold => (&cb.cold, None),
             ServingTier::Template | ServingTier::WarmPool => {
                 if self.hosts[host].cache.lookup_or_fill(cb.key, class) {
-                    (cb.template_hit.clone(), None)
+                    (&cb.template_hit, None)
                 } else {
-                    (cb.template_fill.clone(), Some(cb.key))
+                    (&cb.template_fill, Some(cb.key))
                 }
             }
         };
@@ -2590,7 +2613,7 @@ impl<'a> State<'a> {
         request: usize,
         class: usize,
         host: usize,
-        blueprint: Blueprint,
+        blueprint: &'a Blueprint,
         fill: Option<TemplateKey>,
         now: Nanos,
         inject: &mut Vec<Job>,
@@ -2603,17 +2626,16 @@ impl<'a> State<'a> {
                 ps.posture_violations += 1;
             }
         }
-        let mut fate = LaunchFate::Ok;
-        let mut blueprint = blueprint;
-        if let Some(plan) = &self.hosts[host].plan {
-            let token = self.hosts[host].launch_seq;
-            let (faulted, kind) = apply_launch_faults(blueprint, plan, token, now);
-            blueprint = faulted;
-            if let Some(kind) = kind {
-                fate = LaunchFate::Fault(kind);
+        let (mut launch, kind) = match &self.hosts[host].plan {
+            Some(plan) => {
+                let token = self.hosts[host].launch_seq;
+                let faulted = apply_launch_faults(blueprint, plan, token, now);
+                self.hosts[host].launch_seq += 1;
+                faulted
             }
-            self.hosts[host].launch_seq += 1;
-        }
+            None => (blueprint.launch(), None),
+        };
+        let mut fate = kind.map_or(LaunchFate::Ok, LaunchFate::Fault);
         // Every fault-free dispatch carries an attestation verdict: the
         // verifier's steps ride the launch as network delay (they never
         // touch the host's PSP backlog), and a revoked chip turns the
@@ -2623,7 +2645,7 @@ impl<'a> State<'a> {
                 let v = plane
                     .verify_launch(host, now)
                     .expect("plane sized to cluster hosts");
-                blueprint.steps.extend(v.steps);
+                launch.extend(v.steps);
                 match v.verdict {
                     Verdict::Ok => {}
                     Verdict::Revoked => fate = LaunchFate::Fault(FaultKind::AttestError),
@@ -2633,22 +2655,16 @@ impl<'a> State<'a> {
                 }
             }
         }
-        let psp_ns = blueprint.psp_work();
+        let psp_ns = launch.psp_work();
         let psp = psp_ns > Nanos::ZERO;
         let h = &mut self.hosts[host];
         h.inflight += 1;
         h.committed_psp += psp_ns;
-        inject.push(blueprint.to_job(now, h.cpu, h.psp));
+        inject.push(launch_job(&launch, now, h.cpu, h.psp));
         let job = self.meta.len();
         if self.rec.on() {
-            self.rec.attempt_start(
-                request,
-                job,
-                &blueprint.label,
-                Some(host),
-                blueprint.steps.clone(),
-                now,
-            );
+            self.rec
+                .attempt_start(request, job, Some(host), launch, now);
         }
         self.meta.push(JobKind::Launch {
             request,
@@ -2760,7 +2776,7 @@ impl<'a> State<'a> {
         {
             return;
         }
-        let refill = self.catalog.class(class).template_hit.clone();
+        let refill = &self.catalog.class(class).template_hit;
         let psp_ns = refill.psp_work();
         let psp = psp_ns > Nanos::ZERO;
         if psp && self.hosts[host].in_psp_outage(now) {
@@ -2769,11 +2785,11 @@ impl<'a> State<'a> {
         let h = &mut self.hosts[host];
         h.pool.refill_started(class);
         h.committed_psp += psp_ns;
-        inject.push(refill.to_job(now, h.cpu, h.psp));
+        let launch = refill.launch();
+        inject.push(launch_job(&launch, now, h.cpu, h.psp));
         let job = self.meta.len();
         if self.rec.on() {
-            self.rec
-                .background(job, &refill.label, Some(host), refill.steps.clone(), now);
+            self.rec.background(job, Some(host), launch, now);
         }
         self.meta.push(JobKind::Replenish {
             class,

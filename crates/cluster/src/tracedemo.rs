@@ -21,7 +21,7 @@
 use sevf_fleet::blueprint::{Catalog, ClassSpec};
 use sevf_fleet::service::{FleetConfig, FleetService, ServingTier};
 use sevf_fleet::workload::RequestMix;
-use sevf_obs::{phase_breakdown, MarkerKind, Outcome, Registry, SpanKind, TraceLog};
+use sevf_obs::{phase_breakdown, Label, MarkerKind, Outcome, Registry, SpanKind, TraceLog};
 use sevf_sim::Nanos;
 
 use crate::placement::PlacementPolicy;
@@ -44,7 +44,7 @@ pub struct TraceExemplar {
     pub failover_hops: usize,
     /// Per-phase critical-path breakdown, first-seen order; durations sum
     /// to `latency` exactly (children tile their parents).
-    pub phases: Vec<(String, Nanos)>,
+    pub phases: Vec<(Label, Nanos)>,
 }
 
 /// A traced scenario run: the full log plus its distilled exemplar.

@@ -448,3 +448,46 @@ fn posture_enforcement_rejects_until_the_rollout_lands_and_never_violates() {
     let lax = rollup.iter().find(|t| t.name == "lax").unwrap();
     assert_eq!(lax.metrics.rejected, 0);
 }
+
+#[test]
+fn goodput_divides_by_the_serving_end_not_the_net_horizon() {
+    use sevf_net::{DetectorConfig, LeaseConfig, LinkSpec, NetConfig};
+
+    let horizon = Nanos::from_secs(30);
+    let net = NetConfig {
+        link: LinkSpec::datacenter(),
+        partitions: Vec::new(),
+        horizon,
+        dispatch_timeout: Nanos::from_millis(50),
+        heartbeat_every: Nanos::from_millis(50),
+        detector: Some(DetectorConfig::default()),
+        lease: Some(LeaseConfig {
+            duration: Nanos::from_millis(300),
+            renew_every: Nanos::from_millis(100),
+        }),
+    };
+    let plain = run(base(3, ServingTier::Template));
+    assert_eq!(plain.metrics.serving_end, plain.metrics.makespan);
+
+    let m = run(ClusterConfig {
+        net: Some(net),
+        ..base(3, ServingTier::Template)
+    })
+    .metrics;
+    assert!(m.conserved());
+    // Heartbeats and lease renewals run on to the horizon; serving ends
+    // shortly after the last of 240 arrivals at 120 req/s.
+    assert!(
+        m.makespan + Nanos::from_secs(1) >= horizon,
+        "{:?}",
+        m.makespan
+    );
+    assert!(m.serving_end < Nanos::from_secs(5), "{:?}", m.serving_end);
+    let expected = m.completed as f64 / m.serving_end.as_secs_f64();
+    assert_eq!(m.goodput_rps(), expected);
+    assert!(
+        m.goodput_rps() > 0.8 * 120.0,
+        "goodput {:.1} req/s at 120 offered",
+        m.goodput_rps()
+    );
+}

@@ -21,9 +21,10 @@
 //!   vCPU kick into a resident guest.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use sevf_image::kernel::KernelConfig;
-use sevf_obs::WorkStep;
+use sevf_obs::{Label, Launch, WorkStep};
 use sevf_psp::TemplateKey;
 use sevf_sim::cost::SevGeneration;
 use sevf_sim::{Job, Nanos, PhaseKind, ResourceClass, ResourceId, Segment};
@@ -40,111 +41,143 @@ const MB: u64 = 1024 * 1024;
 /// command names, attestation round trips, ...), so a replayed launch can
 /// be traced back to the paper's phase breakdowns instead of flattening
 /// into anonymous `(class, duration)` pairs.
+///
+/// The catalog holds each blueprint's steps once, shared. A dispatch hands
+/// out a [`Launch`]: the shared steps plus a small overlay (a fault cut, a
+/// dead-PSP hang, an attestation timeout, the attestation plane's steps).
+/// Dispatching and recording a launch therefore copies no step.
 #[derive(Debug, Clone)]
 pub struct Blueprint {
-    /// Label carried into job segments (shows up in traces).
-    pub label: String,
-    /// Ordered resource-class steps with their boot phases and labels.
-    pub steps: Vec<WorkStep>,
+    label: Label,
+    /// Attempt name of a launch a transient fault cut short.
+    aborted: Label,
+    /// Attempt name of a launch dispatched into a PSP outage.
+    dead_psp: Label,
+    steps: Arc<[WorkStep]>,
+    psp_work: Nanos,
+    service_time: Nanos,
+    has_network: bool,
 }
 
 impl Blueprint {
+    fn new(label: String, steps: Vec<WorkStep>) -> Self {
+        let sum = |class: Option<ResourceClass>| -> Nanos {
+            steps
+                .iter()
+                .filter(|step| class.is_none_or(|c| step.class == c))
+                .map(|step| step.duration)
+                .sum()
+        };
+        Blueprint {
+            aborted: Label::from(format!("{label} (aborted)")),
+            dead_psp: Label::from(format!("{label} (dead psp)")),
+            psp_work: sum(Some(ResourceClass::Psp)),
+            service_time: sum(None),
+            has_network: steps
+                .iter()
+                .any(|step| step.class == ResourceClass::Network),
+            label: Label::from(label),
+            steps: steps.into(),
+        }
+    }
+
     /// Extracts the blueprint of a boot report's timeline, preserving each
     /// span's phase and label.
     pub fn from_report(label: impl Into<String>, report: &BootReport) -> Self {
-        Blueprint {
-            label: label.into(),
-            steps: report
-                .timeline
-                .spans()
-                .iter()
-                .map(|span| {
-                    WorkStep::new(span.class, span.phase, span.label.clone(), span.duration)
-                })
-                .collect(),
-        }
+        let steps = report
+            .timeline
+            .spans()
+            .iter()
+            .map(|span| WorkStep::new(span.class, span.phase, span.label.clone(), span.duration))
+            .collect();
+        Blueprint::new(label.into(), steps)
     }
 
     /// A single-step CPU blueprint (used for warm invocations).
     pub fn cpu_step(label: impl Into<String>, duration: Nanos) -> Self {
         let label = label.into();
-        Blueprint {
-            steps: vec![WorkStep::new(
-                ResourceClass::HostCpu,
-                PhaseKind::VmmSetup,
-                label.clone(),
-                duration,
-            )],
-            label,
-        }
+        let step = WorkStep::new(
+            ResourceClass::HostCpu,
+            PhaseKind::VmmSetup,
+            label.clone(),
+            duration,
+        );
+        Blueprint::new(label, vec![step])
+    }
+
+    /// Label carried into traces.
+    pub fn label(&self) -> &Label {
+        &self.label
+    }
+
+    /// Ordered resource-class steps with their boot phases and labels.
+    pub fn steps(&self) -> &[WorkStep] {
+        &self.steps
     }
 
     /// Serialized PSP work this blueprint costs per replay — the quantity
     /// the shortest-expected-PSP-work scheduler orders by.
     pub fn psp_work(&self) -> Nanos {
-        self.steps
-            .iter()
-            .filter(|step| step.class == ResourceClass::Psp)
-            .map(|step| step.duration)
-            .sum()
+        self.psp_work
     }
 
     /// Total service time (all steps, uncontended).
     pub fn service_time(&self) -> Nanos {
-        self.steps.iter().map(|step| step.duration).sum()
+        self.service_time
     }
 
     /// Whether any step is a network delay (attestation round trips) —
     /// the launches attestation faults can strike.
     pub fn has_network(&self) -> bool {
-        self.steps
-            .iter()
-            .any(|step| step.class == ResourceClass::Network)
+        self.has_network
     }
 
-    /// The prefix of this blueprint consuming `frac` of its service time —
-    /// the work a launch burns before a transient fault kills it. The last
-    /// step is cut partially; `frac` is clamped to `[0, 1]`.
-    pub fn truncate_frac(&self, frac: f64) -> Blueprint {
-        let frac = frac.clamp(0.0, 1.0);
-        let mut budget = self.service_time().scale_f64(frac);
-        let mut steps = Vec::new();
-        for step in &self.steps {
-            if budget == Nanos::ZERO {
-                break;
-            }
-            let take = step.duration.min(budget);
-            steps.push(WorkStep::new(
-                step.class,
-                step.phase,
-                step.label.clone(),
-                take,
-            ));
-            budget = budget.saturating_sub(take);
-        }
-        Blueprint {
-            label: format!("{} (aborted)", self.label),
-            steps,
-        }
+    /// A launch replaying every step.
+    pub fn launch(&self) -> Launch {
+        Launch::new(self.label.clone(), self.steps.clone())
     }
 
-    /// Converts the blueprint into a DES job released at `release`.
-    ///
-    /// Segment labels are static class names, not the blueprint label: the
-    /// engine never reads them, and this runs once per dispatched request —
-    /// a per-segment `String` clone here was the fleet's hottest allocation.
-    pub fn to_job(&self, release: Nanos, cpu: ResourceId, psp: ResourceId) -> Job {
-        let segments = self
-            .steps
-            .iter()
-            .map(|step| match step.class {
-                ResourceClass::Psp => Segment::on(psp, step.duration, "psp"),
-                ResourceClass::HostCpu => Segment::on(cpu, step.duration, "cpu"),
-                ResourceClass::Network => Segment::delay(step.duration, "net"),
-            })
-            .collect();
-        Job::released_at(release, segments)
+    /// The launch a transient fault kills after `frac` of its service time:
+    /// the prefix of the work it burns, with the last step cut partially.
+    /// `frac` is clamped to `[0, 1]`.
+    pub fn aborted(&self, frac: f64) -> Launch {
+        let mut launch = self.launch();
+        launch.truncate(self.service_time.scale_f64(frac.clamp(0.0, 1.0)));
+        launch.relabel(self.aborted.clone());
+        launch
     }
+
+    /// A launch dispatched into a PSP firmware-reset outage: no PSP work,
+    /// just a hang on the rebooting mailbox for `hang`.
+    pub fn dead_psp(&self, hang: Nanos) -> Launch {
+        let mut launch = self.launch();
+        launch.truncate(Nanos::ZERO);
+        launch.push(WorkStep::new(
+            ResourceClass::Network,
+            PhaseKind::PreEncryption,
+            "hang on rebooting PSP mailbox",
+            hang,
+        ));
+        launch.relabel(self.dead_psp.clone());
+        launch
+    }
+}
+
+/// Converts a launch into a DES job released at `release`.
+///
+/// Segment labels are static class names, not the blueprint label: the
+/// engine never reads them, and this runs once per dispatched request —
+/// a per-segment `String` clone here was the fleet's hottest allocation.
+pub fn launch_job(launch: &Launch, release: Nanos, cpu: ResourceId, psp: ResourceId) -> Job {
+    let segments = launch
+        .steps()
+        .map(|(step, duration)| match step.class {
+            ResourceClass::Psp => Segment::on(psp, duration, "psp"),
+            ResourceClass::HostCpu => Segment::on(cpu, duration, "cpu"),
+            ResourceClass::Network => Segment::delay(duration, "net"),
+        })
+        .collect();
+    Job::released_at(release, segments)
 }
 
 /// One request class the fleet serves: a named VM configuration.
@@ -249,8 +282,8 @@ impl ClassSpec {
 /// The measured blueprints of one request class.
 #[derive(Debug, Clone)]
 pub struct ClassBlueprints {
-    /// Class name.
-    pub name: String,
+    /// Class name (names each request's span tree).
+    pub name: Label,
     /// Content-address of the class's launch template.
     pub key: TemplateKey,
     /// Full cold launch.
@@ -324,7 +357,7 @@ impl Catalog {
             let invocation = warm_vm.invoke(&machine.cost);
 
             classes.push(ClassBlueprints {
-                name: spec.name.clone(),
+                name: Label::from(spec.name.clone()),
                 key,
                 cold: Blueprint::from_report(format!("{} cold", spec.name), &cold_report),
                 template_fill: Blueprint::from_report(
@@ -507,23 +540,53 @@ mod tests {
         assert!(cache.contains(&key));
     }
 
+    fn planned(launch: &Launch) -> Nanos {
+        launch.steps().map(|(_, duration)| duration).sum()
+    }
+
     #[test]
-    fn truncate_frac_takes_a_prefix_of_the_work() {
+    fn aborted_launch_takes_a_prefix_of_the_work() {
         let catalog = quick_catalog();
         let bp = &catalog.class(0).cold;
-        let half = bp.truncate_frac(0.5);
+        let half = bp.aborted(0.5);
         let tol = Nanos::from_nanos(1);
-        assert!(half.service_time() <= bp.service_time().scale_f64(0.5) + tol);
-        assert!(half.service_time() + tol >= bp.service_time().scale_f64(0.5));
+        assert!(planned(&half) <= bp.service_time().scale_f64(0.5) + tol);
+        assert!(planned(&half) + tol >= bp.service_time().scale_f64(0.5));
+        assert_eq!(half.label(), &format!("{} (aborted)", bp.label()));
         // Prefix property: step classes and labels match the original's
         // in order.
-        for (a, b) in half.steps.iter().zip(&bp.steps) {
+        for ((a, _), b) in half.steps().zip(bp.steps()) {
             assert_eq!(a.class, b.class);
             assert_eq!(a.label, b.label);
         }
-        assert!(bp.truncate_frac(0.0).steps.is_empty());
-        assert_eq!(bp.truncate_frac(1.0).service_time(), bp.service_time());
-        assert_eq!(bp.truncate_frac(7.0).service_time(), bp.service_time());
+        assert_eq!(bp.aborted(0.0).steps().count(), 0);
+        assert_eq!(planned(&bp.aborted(1.0)), bp.service_time());
+        assert_eq!(planned(&bp.aborted(7.0)), bp.service_time());
+    }
+
+    #[test]
+    fn dead_psp_launch_only_hangs() {
+        let catalog = quick_catalog();
+        let bp = &catalog.class(0).cold;
+        let dead = bp.dead_psp(Nanos::from_millis(3));
+        assert_eq!(dead.label(), &format!("{} (dead psp)", bp.label()));
+        assert_eq!(dead.psp_work(), Nanos::ZERO);
+        let steps: Vec<_> = dead.steps().collect();
+        assert_eq!(steps.len(), 1);
+        assert_eq!(steps[0].0.class, ResourceClass::Network);
+        assert_eq!(steps[0].1, Nanos::from_millis(3));
+    }
+
+    #[test]
+    fn launches_share_the_catalog_steps() {
+        let catalog = quick_catalog();
+        let bp = &catalog.class(0).template_hit;
+        let a = bp.launch();
+        let b = bp.launch();
+        let first = |l: &Launch| l.steps().next().map(|(s, _)| s as *const WorkStep);
+        assert_eq!(first(&a), first(&b));
+        assert_eq!(first(&a), bp.steps().first().map(|s| s as *const WorkStep));
+        assert_eq!(a.psp_work(), bp.psp_work());
     }
 
     #[test]
@@ -550,7 +613,7 @@ mod tests {
         let mut engine = sevf_sim::DesEngine::new();
         let psp = engine.add_resource("psp", 1);
         let cpu = engine.add_resource("cpu", 4);
-        let outcomes = engine.run(vec![bp.to_job(Nanos::ZERO, cpu, psp)]);
+        let outcomes = engine.run(vec![launch_job(&bp.launch(), Nanos::ZERO, cpu, psp)]);
         assert_eq!(outcomes[0].latency(), bp.service_time());
     }
 }

@@ -39,7 +39,7 @@ use std::collections::BTreeSet;
 
 use sevf_attplane::{AttPlane, AttPlaneConfig, AttPlaneMetrics, Verdict, STEP_RTT};
 use sevf_net::VerifierLink;
-use sevf_obs::{MarkerKind, Outcome as ReqOutcome, Recorder, TraceLog};
+use sevf_obs::{Launch, MarkerKind, Outcome as ReqOutcome, Recorder, TraceLog};
 use sevf_policy::{
     IsolationTier, Offer, PolicyConfig, PolicyDecision, PolicyEngine, Scheduler, TenantMetrics,
     TenantRollup, WfqQueue,
@@ -51,7 +51,7 @@ use sevf_sim::{DesEngine, Job, JobOutcome, Nanos, PhaseKind, ResourceClass, Reso
 use sevf_vmm::machine::HOST_CORES;
 
 use crate::admission::{AdmissionConfig, BoundedQueue, Pending};
-use crate::blueprint::{Blueprint, Catalog, LaunchCache};
+use crate::blueprint::{launch_job, Blueprint, Catalog, LaunchCache};
 use crate::metrics::FleetMetrics;
 use crate::pool::WarmPool;
 use crate::recovery::{CircuitBreaker, RecoveryConfig};
@@ -522,13 +522,11 @@ impl FleetService {
         // Feed the engine's resource occupancy back so PSP/CPU steps land
         // at their true contended intervals rather than planned durations.
         if state.rec.on() {
+            state.rec.resource_names(engine.resource_names());
             for entry in trace.entries() {
-                state.rec.occupy(
-                    engine.resource_name(entry.resource),
-                    entry.job,
-                    entry.start,
-                    entry.end,
-                );
+                state
+                    .rec
+                    .occupy(entry.resource, entry.job, entry.start, entry.end);
             }
         }
         let log = state.rec.build();
@@ -799,12 +797,12 @@ impl<'a> State<'a> {
             return;
         }
         self.pool.refill_started(class);
-        inject.push(refill.to_job(now, self.cpu, self.psp));
+        let launch = refill.launch();
+        inject.push(launch_job(&launch, now, self.cpu, self.psp));
         let job = self.meta.len();
         self.meta.push(JobKind::Replenish { class, psp });
         if self.rec.on() {
-            self.rec
-                .background(job, &refill.label, None, refill.steps.clone(), now);
+            self.rec.background(job, None, launch, now);
         }
         if psp {
             self.psp_inflight.insert(job);
@@ -843,8 +841,8 @@ impl<'a> State<'a> {
         if tier == ServingTier::WarmPool && self.pool.try_take(class) {
             // Warm hit: no launch, no admission — one vCPU kick. The freed
             // slot is refilled in the background by a template launch.
-            let blueprint = self.catalog.class(class).warm_invoke.clone();
-            self.inject_launch(request, class, blueprint, None, tier, now, inject);
+            let blueprint = &self.catalog.class(class).warm_invoke;
+            self.inject_launch(request, class, blueprint, None, now, inject);
             self.start_refill(class, now, inject);
             return;
         }
@@ -965,44 +963,39 @@ impl<'a> State<'a> {
         }
         let cb = self.catalog.class(class);
         let (blueprint, fill) = match tier {
-            ServingTier::Cold => (cb.cold.clone(), None),
+            ServingTier::Cold => (&cb.cold, None),
             ServingTier::Template | ServingTier::WarmPool => {
                 if self.cache.lookup_or_fill(cb.key, class) {
-                    (cb.template_hit.clone(), None)
+                    (&cb.template_hit, None)
                 } else {
-                    (cb.template_fill.clone(), Some(cb.key))
+                    (&cb.template_fill, Some(cb.key))
                 }
             }
         };
-        self.inject_launch(request, class, blueprint, fill, tier, now, inject);
+        self.inject_launch(request, class, blueprint, fill, now, inject);
     }
 
     /// Applies the fault plan to a launch and injects it. Verdicts are
     /// drawn statelessly per launch token, so the fault-free path consumes
     /// no randomness at all.
-    #[allow(clippy::too_many_arguments)]
     fn inject_launch(
         &mut self,
         request: usize,
         class: usize,
-        blueprint: Blueprint,
+        blueprint: &'a Blueprint,
         fill: Option<TemplateKey>,
-        tier: ServingTier,
         now: Nanos,
         inject: &mut Vec<Job>,
     ) {
-        let _ = tier;
-        let mut fate = LaunchFate::Ok;
-        let mut blueprint = blueprint;
-        if let Some(plan) = self.plan() {
-            let token = self.launch_seq;
-            self.launch_seq += 1;
-            let (faulted, kind) = apply_launch_faults(blueprint, plan, token, now);
-            blueprint = faulted;
-            if let Some(kind) = kind {
-                fate = LaunchFate::Fault(kind);
+        let (mut launch, kind) = match self.plan() {
+            Some(plan) => {
+                let token = self.launch_seq;
+                self.launch_seq += 1;
+                apply_launch_faults(blueprint, plan, token, now)
             }
-        }
+            None => (blueprint.launch(), None),
+        };
+        let mut fate = kind.map_or(LaunchFate::Ok, LaunchFate::Fault);
         // Every fault-free dispatch carries an attestation verdict: the
         // verifier's latency (queue wait → cert fetch/hit → batch window →
         // signature check) rides the launch as pure network delay, and a
@@ -1020,7 +1013,7 @@ impl<'a> State<'a> {
                 // actually consulted; blackout verdicts are local.
                 if let Some(link) = link {
                     if plane.is_reachable() && link.rtt > Nanos::ZERO {
-                        blueprint.steps.push(sevf_obs::WorkStep::new(
+                        launch.push(sevf_obs::WorkStep::new(
                             ResourceClass::Network,
                             PhaseKind::Attestation,
                             STEP_RTT,
@@ -1028,7 +1021,7 @@ impl<'a> State<'a> {
                         ));
                     }
                 }
-                blueprint.steps.extend(v.steps);
+                launch.extend(v.steps);
                 match v.verdict {
                     Verdict::Ok => {}
                     Verdict::Revoked => fate = LaunchFate::Fault(FaultKind::AttestError),
@@ -1037,18 +1030,11 @@ impl<'a> State<'a> {
             }
         }
         self.inflight += 1;
-        let psp = blueprint.psp_work() > Nanos::ZERO;
-        inject.push(blueprint.to_job(now, self.cpu, self.psp));
+        let psp = launch.psp_work() > Nanos::ZERO;
+        inject.push(launch_job(&launch, now, self.cpu, self.psp));
         let job = self.meta.len();
         if self.rec.on() {
-            self.rec.attempt_start(
-                request,
-                job,
-                &blueprint.label,
-                None,
-                blueprint.steps.clone(),
-                now,
-            );
+            self.rec.attempt_start(request, job, None, launch, now);
         }
         self.meta.push(JobKind::Launch {
             request,
@@ -1157,8 +1143,8 @@ impl<'a> State<'a> {
     }
 }
 
-/// Applies `plan`'s per-launch fault model to a dispatch at `now`, returning
-/// the (possibly rewritten) blueprint and the fault that struck, if any.
+/// Applies `plan`'s per-launch fault model to a dispatch of `blueprint` at
+/// `now`, returning the launch to inject and the fault that struck, if any.
 ///
 /// This is the single fault-application path shared by [`FleetService`] and
 /// the multi-host cluster layered on it (`sevf-cluster`), so both inject
@@ -1174,49 +1160,41 @@ impl<'a> State<'a> {
 ///   [`FaultKind::AttestError`]).
 ///
 /// Verdicts are stateless per token, so a fault-free plan consumes no
-/// randomness and leaves the blueprint untouched.
+/// randomness and leaves the launch untouched. Each fault is an overlay on
+/// the blueprint's shared steps, never a copy of them.
 pub fn apply_launch_faults(
-    blueprint: Blueprint,
+    blueprint: &Blueprint,
     plan: &FaultPlan,
     token: u64,
     now: Nanos,
-) -> (Blueprint, Option<FaultKind>) {
-    let psp_work = blueprint.psp_work();
-    if psp_work > Nanos::ZERO {
+) -> (Launch, Option<FaultKind>) {
+    if blueprint.psp_work() > Nanos::ZERO {
         if let Some(end) = plan.in_outage(now) {
-            let dead = Blueprint {
-                label: format!("{} (dead psp)", blueprint.label),
-                steps: vec![sevf_obs::WorkStep::new(
-                    ResourceClass::Network,
-                    PhaseKind::PreEncryption,
-                    "hang on rebooting PSP mailbox",
-                    end.saturating_sub(now),
-                )],
-            };
+            let dead = blueprint.dead_psp(end.saturating_sub(now));
             return (dead, Some(FaultKind::PspReset));
         }
         if plan.psp_transient(token) {
-            let truncated = blueprint.truncate_frac(plan.transient_progress(token));
-            return (truncated, Some(FaultKind::PspTransient));
+            let aborted = blueprint.aborted(plan.transient_progress(token));
+            return (aborted, Some(FaultKind::PspTransient));
         }
     }
+    let mut launch = blueprint.launch();
     if blueprint.has_network() {
         match plan.attest_fault(token) {
             Some(AttestFault::Timeout) => {
-                let mut hung = blueprint;
-                hung.steps.push(sevf_obs::WorkStep::new(
+                launch.push(sevf_obs::WorkStep::new(
                     ResourceClass::Network,
                     PhaseKind::Attestation,
                     "attestation round trip times out",
                     plan.config().attest_timeout,
                 ));
-                return (hung, Some(FaultKind::AttestTimeout));
+                return (launch, Some(FaultKind::AttestTimeout));
             }
-            Some(AttestFault::Error) => return (blueprint, Some(FaultKind::AttestError)),
+            Some(AttestFault::Error) => return (launch, Some(FaultKind::AttestError)),
             None => {}
         }
     }
-    (blueprint, None)
+    (launch, None)
 }
 
 #[cfg(test)]

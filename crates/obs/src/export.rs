@@ -21,6 +21,7 @@ use std::fmt::Write as _;
 
 use sevf_sim::Nanos;
 
+use crate::label::Label;
 use crate::metrics::Registry;
 use crate::trace::{SpanKind, SpanRec, TraceLog};
 
@@ -151,9 +152,9 @@ pub fn prometheus_text(registry: &Registry) -> String {
 pub struct PathSlice {
     /// Phase bucket the slice rolls up under ("Pre-encryption", "queue
     /// wait", "backoff", ...).
-    pub phase: String,
+    pub phase: Label,
     /// The leaf span's own name (PSP command, wait reason, ...).
-    pub name: String,
+    pub name: Label,
     /// When the slice started, on the virtual clock.
     pub start: Nanos,
     /// How long it took.
@@ -161,18 +162,18 @@ pub struct PathSlice {
 }
 
 /// Phase bucket a leaf span rolls up under.
-fn slice_phase(span: &SpanRec) -> String {
+fn slice_phase(span: &SpanRec) -> Label {
     match span.kind {
         SpanKind::Step => span
             .phase
-            .map(|p| p.label().to_string())
+            .map(|p| Label::new_static(p.label()))
             .unwrap_or_else(|| span.name.clone()),
-        SpanKind::Backoff => "backoff".to_string(),
+        SpanKind::Backoff => Label::new_static("backoff"),
         SpanKind::Wait => {
             if span.name == "queue wait" {
-                "queue wait".to_string()
+                Label::new_static("queue wait")
             } else {
-                "resource wait".to_string()
+                Label::new_static("resource wait")
             }
         }
         _ => span.name.clone(),
@@ -196,30 +197,23 @@ pub fn critical_path(log: &TraceLog, request: usize) -> Vec<PathSlice> {
 
 /// Rolls [`critical_path`] up by phase bucket, preserving first-seen
 /// order along the path. The durations still sum to the latency exactly.
-pub fn phase_breakdown(log: &TraceLog, request: usize) -> Vec<(String, Nanos)> {
-    let mut order: Vec<String> = Vec::new();
-    let mut totals: std::collections::BTreeMap<String, Nanos> = std::collections::BTreeMap::new();
+pub fn phase_breakdown(log: &TraceLog, request: usize) -> Vec<(Label, Nanos)> {
+    let mut rolled: Vec<(Label, Nanos)> = Vec::new();
     for slice in critical_path(log, request) {
-        if !totals.contains_key(&slice.phase) {
-            order.push(slice.phase.clone());
+        match rolled.iter_mut().find(|(phase, _)| *phase == slice.phase) {
+            Some((_, total)) => *total += slice.duration,
+            None => rolled.push((slice.phase, slice.duration)),
         }
-        *totals.entry(slice.phase).or_insert(Nanos::ZERO) += slice.duration;
     }
-    order
-        .into_iter()
-        .map(|phase| {
-            let total = totals[&phase];
-            (phase, total)
-        })
-        .collect()
+    rolled
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::metrics::Registry;
-    use crate::trace::{Outcome, Recorder, WorkStep};
-    use sevf_sim::{PhaseKind, ResourceClass};
+    use crate::trace::{Launch, Outcome, Recorder, WorkStep};
+    use sevf_sim::{DesEngine, PhaseKind, ResourceClass};
 
     fn ms(v: u64) -> Nanos {
         Nanos::from_millis(v)
@@ -227,7 +221,11 @@ mod tests {
 
     fn demo_log() -> TraceLog {
         let mut rec = Recorder::enabled();
-        rec.arrival(0, "tiny", ms(0));
+        let mut engine = DesEngine::new();
+        let psp = engine.add_resource("psp", 1);
+        let cpus = engine.add_resource("host-cpus", 4);
+        rec.resource_names(engine.resource_names());
+        rec.arrival(0, &"tiny".into(), ms(0));
         let steps = vec![
             WorkStep::new(
                 ResourceClass::Psp,
@@ -237,11 +235,12 @@ mod tests {
             ),
             WorkStep::new(ResourceClass::HostCpu, PhaseKind::LinuxBoot, "boot", ms(3)),
         ];
-        rec.attempt_start(0, 0, "tiny cold", None, steps, ms(1));
+        let launch = Launch::new("tiny cold".into(), steps.into());
+        rec.attempt_start(0, 0, None, launch, ms(1));
         rec.attempt_end(0, ms(6));
         rec.terminal(0, Outcome::Completed, ms(6));
-        rec.occupy("psp", 0, ms(1), ms(3));
-        rec.occupy("host-cpus", 0, ms(3), ms(6));
+        rec.occupy(psp, 0, ms(1), ms(3));
+        rec.occupy(cpus, 0, ms(3), ms(6));
         rec.build()
     }
 

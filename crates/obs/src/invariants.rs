@@ -14,10 +14,31 @@ use sevf_sim::Nanos;
 
 use crate::trace::{SpanKind, TraceLog};
 
+/// Every span tagged with a request lies in the range the log indexed for
+/// that request, and every indexed range holds only that request's spans.
+/// This is what lets the per-request checks below look at one range
+/// instead of the whole log.
+pub fn requests_contiguous(log: &TraceLog) -> Result<(), String> {
+    for span in &log.spans {
+        if let Some(request) = span.request {
+            let range = log.request_range(request);
+            if !range.contains(&span.id) {
+                return Err(format!(
+                    "span {} of request {request} lies outside its range {range:?}",
+                    span.id
+                ));
+            }
+        }
+    }
+    Ok(())
+}
+
 /// `request` has exactly one root span, of kind [`SpanKind::Request`].
+/// Looks only at the request's indexed range; [`requests_contiguous`]
+/// proves no span of the request lies elsewhere.
 pub fn single_request_root(log: &TraceLog, request: usize) -> Result<(), String> {
     let roots: Vec<_> = log
-        .spans
+        .request_spans(request)
         .iter()
         .filter(|s| s.parent.is_none() && s.request == Some(request))
         .collect();
@@ -136,9 +157,12 @@ pub fn leaf_duration_sum(log: &TraceLog, request: usize) -> Nanos {
 }
 
 /// Runs the whole battery for a set of completed requests with their
-/// metrics-reported latencies: one root each, global nesting and tiling,
-/// PSP serialization, and leaf-duration == reported latency per request.
+/// metrics-reported latencies: the request index, global nesting and
+/// tiling, PSP serialization, then one root each and leaf-duration ==
+/// reported latency per request. Linear in the log: each request's checks
+/// touch only its own span range.
 pub fn check_completed(log: &TraceLog, completed: &[(usize, Nanos)]) -> Result<(), String> {
+    requests_contiguous(log)?;
     spans_nest(log)?;
     children_tile(log)?;
     capacity1_serialized(log, "psp")?;
@@ -169,38 +193,64 @@ pub fn check_completed(log: &TraceLog, completed: &[(usize, Nanos)]) -> Result<(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::trace::{Outcome, Recorder, WorkStep};
-    use sevf_sim::{PhaseKind, ResourceClass};
+    use crate::trace::{Launch, Outcome, Recorder, WorkStep};
+    use sevf_sim::{DesEngine, PhaseKind, ResourceClass, ResourceId};
 
     fn ms(v: u64) -> Nanos {
         Nanos::from_millis(v)
     }
 
+    fn with_psp(rec: &mut Recorder) -> ResourceId {
+        let mut engine = DesEngine::new();
+        let psp = engine.add_resource("psp", 1);
+        rec.resource_names(engine.resource_names());
+        psp
+    }
+
     fn demo_log() -> TraceLog {
         let mut rec = Recorder::enabled();
-        rec.arrival(0, "tiny", ms(0));
+        let psp = with_psp(&mut rec);
+        rec.arrival(0, &"tiny".into(), ms(0));
         let steps = vec![WorkStep::new(
             ResourceClass::Psp,
             PhaseKind::PreEncryption,
             "LAUNCH",
             ms(5),
         )];
-        rec.attempt_start(0, 0, "tiny cold", None, steps, ms(0));
+        rec.attempt_start(
+            0,
+            0,
+            None,
+            Launch::new("tiny cold".into(), steps.into()),
+            ms(0),
+        );
         rec.attempt_end(0, ms(5));
         rec.terminal(0, Outcome::Completed, ms(5));
-        rec.occupy("psp", 0, ms(0), ms(5));
+        rec.occupy(psp, 0, ms(0), ms(5));
         rec.build()
     }
 
     #[test]
     fn clean_tree_passes_everything() {
         let log = demo_log();
+        assert_eq!(requests_contiguous(&log), Ok(()));
         assert_eq!(single_request_root(&log, 0), Ok(()));
         assert_eq!(spans_nest(&log), Ok(()));
         assert_eq!(children_tile(&log), Ok(()));
         assert_eq!(capacity1_serialized(&log, "psp"), Ok(()));
         assert_eq!(leaf_duration_sum(&log, 0), ms(5));
         assert_eq!(check_completed(&log, &[(0, ms(5))]), Ok(()));
+    }
+
+    #[test]
+    fn a_span_outside_its_request_range_is_caught() {
+        let mut log = demo_log();
+        let mut stray = log.spans[0].clone();
+        stray.id = log.spans.len();
+        log.spans.push(stray);
+        let err = requests_contiguous(&log).unwrap_err();
+        assert!(err.contains("outside its range"), "{err}");
+        assert!(check_completed(&log, &[(0, ms(5))]).is_err());
     }
 
     #[test]
@@ -219,20 +269,27 @@ mod tests {
     #[test]
     fn overlapping_psp_spans_are_caught() {
         let mut rec = Recorder::enabled();
+        let psp = with_psp(&mut rec);
         for r in 0..2 {
-            rec.arrival(r, "tiny", ms(0));
+            rec.arrival(r, &"tiny".into(), ms(0));
             let steps = vec![WorkStep::new(
                 ResourceClass::Psp,
                 PhaseKind::PreEncryption,
                 "LAUNCH",
                 ms(5),
             )];
-            rec.attempt_start(r, r, "tiny cold", None, steps, ms(0));
+            rec.attempt_start(
+                r,
+                r,
+                None,
+                Launch::new("tiny cold".into(), steps.into()),
+                ms(0),
+            );
             rec.attempt_end(r, ms(5));
             rec.terminal(r, Outcome::Completed, ms(5));
             // Both jobs claim the psp over the same interval: impossible on
             // a capacity-1 resource.
-            rec.occupy("psp", r, ms(0), ms(5));
+            rec.occupy(psp, r, ms(0), ms(5));
         }
         let log = rec.build();
         assert!(capacity1_serialized(&log, "psp").is_err());

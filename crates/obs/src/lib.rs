@@ -31,13 +31,15 @@
 
 pub mod export;
 pub mod invariants;
+pub mod label;
 pub mod metrics;
 pub mod trace;
 
 pub use export::{
     chrome_trace_json, critical_path, json_escape, phase_breakdown, prometheus_text, PathSlice,
 };
+pub use label::Label;
 pub use metrics::{percentile_or_zero, time_weighted_mean, Histogram, Registry};
 pub use trace::{
-    MarkerKind, MarkerRec, OccEntry, Outcome, Recorder, SpanKind, SpanRec, TraceLog, WorkStep,
+    Launch, MarkerKind, MarkerRec, Outcome, Recorder, SpanKind, SpanRec, TraceLog, WorkStep,
 };

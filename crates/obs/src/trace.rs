@@ -2,11 +2,12 @@
 //!
 //! The serving layers (`sevf-fleet`, `sevf-cluster`) narrate a run into a
 //! [`Recorder`] as it executes: request arrivals, queueing, launch-attempt
-//! dispatches with their planned [`WorkStep`]s, retry backoffs, terminal
+//! dispatches with their planned [`Launch`]es, retry backoffs, terminal
 //! outcomes, and point markers (faults, failovers, placement decisions).
 //! After the DES run finishes, the caller feeds the engine's resource
-//! occupancy back in ([`Recorder::occupy`]) and calls [`Recorder::build`],
-//! which assembles one causal span tree per request:
+//! occupancy back in ([`Recorder::resource_names`], [`Recorder::occupy`])
+//! and calls [`Recorder::build`], which assembles one causal span tree per
+//! request:
 //!
 //! ```text
 //! request ── queue wait ── attempt ──┬── wait psp
@@ -21,14 +22,24 @@
 //! to precisely the latency the metrics layer reports. The structural
 //! invariants this buys are checked by [`crate::invariants`].
 //!
+//! Recording is compact. A launch is a catalog blueprint's shared steps
+//! (an `Arc<[WorkStep]>`) plus a small overlay, so recording one costs a
+//! refcount. Occupancy is fed as `(ResourceId, job, start, end)` against
+//! one resource-name table per run. Every span name is a [`Label`], cloned
+//! from the catalog, the resource table, or a static string; assembly
+//! allocates no string per span.
+//!
 //! A disabled recorder ([`Recorder::disabled`]) is a `None`: every method
 //! returns immediately, no allocation, no clock reads — the fault-free
 //! serving path replays byte-identically with recording off.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::ops::Range;
+use std::sync::Arc;
 
 use sevf_sim::fault::FaultKind;
-use sevf_sim::{Nanos, PhaseKind, ResourceClass};
+use sevf_sim::{Nanos, PhaseKind, ResourceClass, ResourceId};
+
+use crate::label::Label;
 
 /// One planned unit of work inside a launch attempt: which resource class
 /// it occupies, which boot phase it belongs to, and for how long.
@@ -43,7 +54,7 @@ pub struct WorkStep {
     /// Boot phase the step belongs to (drives per-phase breakdowns).
     pub phase: PhaseKind,
     /// Human-readable description (PSP command, boot stage, ...).
-    pub label: String,
+    pub label: Label,
     /// Planned duration of the step.
     pub duration: Nanos,
 }
@@ -53,7 +64,7 @@ impl WorkStep {
     pub fn new(
         class: ResourceClass,
         phase: PhaseKind,
-        label: impl Into<String>,
+        label: impl Into<Label>,
         duration: Nanos,
     ) -> Self {
         WorkStep {
@@ -62,6 +73,100 @@ impl WorkStep {
             label: label.into(),
             duration,
         }
+    }
+}
+
+/// One dispatched launch: a blueprint's shared steps plus a small overlay.
+///
+/// The steps a launch runs are the first `take` shared steps, the last of
+/// them cut short when a fault killed the launch partway, followed by the
+/// overlay's own steps: a hang on a rebooting PSP, an attestation timeout,
+/// the attestation plane's verdict steps. Cloning or recording a launch
+/// bumps refcounts; it never copies the shared steps.
+#[derive(Debug, Clone)]
+pub struct Launch {
+    label: Label,
+    shared: Arc<[WorkStep]>,
+    /// `(take, last)`: only the first `take` shared steps run, the last of
+    /// them for `last`. `None` runs every shared step in full.
+    cut: Option<(usize, Nanos)>,
+    extra: Vec<WorkStep>,
+}
+
+impl Launch {
+    /// A launch running every step of `shared`, named `label`.
+    pub fn new(label: Label, shared: Arc<[WorkStep]>) -> Self {
+        Launch {
+            label,
+            shared,
+            cut: None,
+            extra: Vec::new(),
+        }
+    }
+
+    /// The attempt's display name.
+    pub fn label(&self) -> &Label {
+        &self.label
+    }
+
+    /// Renames the attempt ("... (aborted)", "... (dead psp)").
+    pub fn relabel(&mut self, label: Label) {
+        self.label = label;
+    }
+
+    /// Keeps only the prefix of the shared steps that consumes `budget` of
+    /// their time: whole steps while the budget lasts, the last one cut
+    /// partially. A zero budget keeps no shared step at all.
+    pub fn truncate(&mut self, budget: Nanos) {
+        let mut left = budget;
+        let mut take = 0;
+        let mut last = Nanos::ZERO;
+        for step in self.shared.iter() {
+            if left == Nanos::ZERO {
+                break;
+            }
+            last = step.duration.min(left);
+            left = left.saturating_sub(last);
+            take += 1;
+        }
+        self.cut = Some((take, last));
+    }
+
+    /// Appends an overlay step after the shared prefix.
+    pub fn push(&mut self, step: WorkStep) {
+        self.extra.push(step);
+    }
+
+    /// Appends overlay steps after the shared prefix.
+    pub fn extend(&mut self, steps: impl IntoIterator<Item = WorkStep>) {
+        self.extra.extend(steps);
+    }
+
+    /// The steps this launch runs, in order, each with its effective
+    /// duration (a cut step runs for less than it planned).
+    pub fn steps(&self) -> impl Iterator<Item = (&WorkStep, Nanos)> + '_ {
+        let (take, last) = self.cut.unwrap_or((self.shared.len(), Nanos::ZERO));
+        let cut = self.cut.is_some();
+        self.shared[..take]
+            .iter()
+            .enumerate()
+            .map(move |(i, step)| {
+                let duration = if cut && i + 1 == take {
+                    last
+                } else {
+                    step.duration
+                };
+                (step, duration)
+            })
+            .chain(self.extra.iter().map(|step| (step, step.duration)))
+    }
+
+    /// Serialized PSP work this launch costs.
+    pub fn psp_work(&self) -> Nanos {
+        self.steps()
+            .filter(|(step, _)| step.class == ResourceClass::Psp)
+            .map(|(_, duration)| duration)
+            .sum()
     }
 }
 
@@ -180,19 +285,6 @@ pub struct MarkerRec {
     pub at: Nanos,
 }
 
-/// One resource occupancy fed back from the DES engine after the run.
-#[derive(Debug, Clone)]
-pub struct OccEntry {
-    /// Concrete resource name ("psp", "psp3", "host-cpus", ...).
-    pub resource: String,
-    /// Engine job index the occupancy belongs to.
-    pub job: usize,
-    /// Instant the segment started executing.
-    pub start: Nanos,
-    /// Instant the segment finished.
-    pub end: Nanos,
-}
-
 /// What a span represents.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SpanKind {
@@ -238,11 +330,11 @@ pub struct SpanRec {
     /// What the span represents.
     pub kind: SpanKind,
     /// Display name (class, blueprint label, step label, ...).
-    pub name: String,
+    pub name: Label,
     /// Boot phase, for [`SpanKind::Step`] spans.
     pub phase: Option<PhaseKind>,
     /// Concrete resource occupied, for steps and resource waits.
-    pub resource: Option<String>,
+    pub resource: Option<Label>,
     /// Start instant on the shared virtual clock.
     pub start: Nanos,
     /// End instant.
@@ -256,12 +348,13 @@ impl SpanRec {
     }
 }
 
-/// Events the recorder buffers during a run (assembled by [`Recorder::build`]).
-#[derive(Debug, Clone)]
+/// Request-scoped events the recorder buffers during a run (assembled by
+/// [`Recorder::build`]).
+#[derive(Debug)]
 enum Ev {
     Arrival {
         request: usize,
-        class: String,
+        class: Label,
         at: Nanos,
     },
     Queued {
@@ -270,13 +363,8 @@ enum Ev {
     AttemptStart {
         request: usize,
         job: usize,
-        label: String,
         host: Option<usize>,
-        steps: Vec<WorkStep>,
-        at: Nanos,
-    },
-    AttemptEnd {
-        job: usize,
+        launch: Launch,
         at: Nanos,
     },
     RetryWait {
@@ -287,27 +375,60 @@ enum Ev {
     },
     Terminal {
         request: usize,
-        outcome: Outcome,
         at: Nanos,
     },
-    Background {
-        job: usize,
-        label: String,
-        host: Option<usize>,
-        steps: Vec<WorkStep>,
-        at: Nanos,
-    },
-    BackgroundEnd {
-        job: usize,
-        at: Nanos,
-    },
+}
+
+impl Ev {
+    fn request(&self) -> usize {
+        match self {
+            Ev::Arrival { request, .. }
+            | Ev::Queued { request }
+            | Ev::AttemptStart { request, .. }
+            | Ev::RetryWait { request, .. }
+            | Ev::Terminal { request, .. } => *request,
+        }
+    }
+}
+
+/// A background job (warm-pool refill) as dispatched.
+#[derive(Debug)]
+struct BackgroundEv {
+    job: usize,
+    host: Option<usize>,
+    launch: Launch,
+    at: Nanos,
+}
+
+/// One engine occupancy entry, keyed by resource index.
+#[derive(Debug, Clone, Copy)]
+struct Occ {
+    resource: usize,
+    job: usize,
+    start: Nanos,
+    end: Nanos,
 }
 
 #[derive(Debug, Default)]
 struct Inner {
     events: Vec<Ev>,
+    backgrounds: Vec<BackgroundEv>,
+    /// Completion instant per engine job (attempts and backgrounds).
+    ends: Vec<Option<Nanos>>,
+    outcomes: Vec<(usize, Outcome, Nanos)>,
     markers: Vec<MarkerRec>,
-    occupancy: Vec<OccEntry>,
+    /// Resource names, by [`ResourceId::index`].
+    resources: Vec<Label>,
+    occupancy: Vec<Occ>,
+}
+
+impl Inner {
+    fn end(&mut self, job: usize, at: Nanos) {
+        if self.ends.len() <= job {
+            self.ends.resize(job + 1, None);
+        }
+        self.ends[job] = Some(at);
+    }
 }
 
 /// The recording handle the serving layers thread through a run.
@@ -335,17 +456,17 @@ impl Recorder {
     }
 
     /// Whether recording is on. Callers use this to skip building event
-    /// arguments (step vectors, labels) on the disabled path.
+    /// arguments on the disabled path.
     pub fn on(&self) -> bool {
         self.inner.is_some()
     }
 
-    /// A request arrived (roots its span tree).
-    pub fn arrival(&mut self, request: usize, class: &str, at: Nanos) {
+    /// A request arrived (roots its span tree, named after its class).
+    pub fn arrival(&mut self, request: usize, class: &Label, at: Nanos) {
         if let Some(inner) = &mut self.inner {
             inner.events.push(Ev::Arrival {
                 request,
-                class: class.to_string(),
+                class: class.clone(),
                 at,
             });
         }
@@ -363,18 +484,16 @@ impl Recorder {
         &mut self,
         request: usize,
         job: usize,
-        label: &str,
         host: Option<usize>,
-        steps: Vec<WorkStep>,
+        launch: Launch,
         at: Nanos,
     ) {
         if let Some(inner) = &mut self.inner {
             inner.events.push(Ev::AttemptStart {
                 request,
                 job,
-                label: label.to_string(),
                 host,
-                steps,
+                launch,
                 at,
             });
         }
@@ -383,7 +502,7 @@ impl Recorder {
     /// Engine job `job` (a launch attempt) completed.
     pub fn attempt_end(&mut self, job: usize, at: Nanos) {
         if let Some(inner) = &mut self.inner {
-            inner.events.push(Ev::AttemptEnd { job, at });
+            inner.end(job, at);
         }
     }
 
@@ -403,29 +522,18 @@ impl Recorder {
     /// A request reached a terminal state.
     pub fn terminal(&mut self, request: usize, outcome: Outcome, at: Nanos) {
         if let Some(inner) = &mut self.inner {
-            inner.events.push(Ev::Terminal {
-                request,
-                outcome,
-                at,
-            });
+            inner.outcomes.push((request, outcome, at));
+            inner.events.push(Ev::Terminal { request, at });
         }
     }
 
     /// A background job (warm-pool refill) was injected as engine job `job`.
-    pub fn background(
-        &mut self,
-        job: usize,
-        label: &str,
-        host: Option<usize>,
-        steps: Vec<WorkStep>,
-        at: Nanos,
-    ) {
+    pub fn background(&mut self, job: usize, host: Option<usize>, launch: Launch, at: Nanos) {
         if let Some(inner) = &mut self.inner {
-            inner.events.push(Ev::Background {
+            inner.backgrounds.push(BackgroundEv {
                 job,
-                label: label.to_string(),
                 host,
-                steps,
+                launch,
                 at,
             });
         }
@@ -434,7 +542,7 @@ impl Recorder {
     /// Engine job `job` (a background job) completed.
     pub fn background_end(&mut self, job: usize, at: Nanos) {
         if let Some(inner) = &mut self.inner {
-            inner.events.push(Ev::BackgroundEnd { job, at });
+            inner.end(job, at);
         }
     }
 
@@ -467,11 +575,23 @@ impl Recorder {
         self.marker(MarkerKind::Fault(kind), request, host, at);
     }
 
-    /// Feeds one engine occupancy entry back in after the run.
-    pub fn occupy(&mut self, resource: &str, job: usize, start: Nanos, end: Nanos) {
+    /// Sets the run's resource-name table, in [`ResourceId::index`] order
+    /// ("psp", "psp3", "host-cpus", ...). Call it once per run;
+    /// [`Recorder::build`] names every [`Recorder::occupy`] entry from it.
+    pub fn resource_names<'n>(&mut self, names: impl IntoIterator<Item = &'n str>) {
         if let Some(inner) = &mut self.inner {
-            inner.occupancy.push(OccEntry {
-                resource: resource.to_string(),
+            inner.resources = names
+                .into_iter()
+                .map(|name| Label::from(name.to_string()))
+                .collect();
+        }
+    }
+
+    /// Feeds one engine occupancy entry back in after the run.
+    pub fn occupy(&mut self, resource: ResourceId, job: usize, start: Nanos, end: Nanos) {
+        if let Some(inner) = &mut self.inner {
+            inner.occupancy.push(Occ {
+                resource: resource.index(),
                 job,
                 start,
                 end,
@@ -490,18 +610,21 @@ impl Recorder {
     }
 }
 
-/// The assembled trace of one run: span trees, markers, raw occupancy, and
-/// per-request terminal outcomes.
+/// The assembled trace of one run: span trees, markers, and per-request
+/// terminal outcomes.
 #[derive(Debug, Clone, Default)]
 pub struct TraceLog {
     /// All spans; a span's `id` is its index here, parents precede children.
+    /// Each request's spans are contiguous, root first; background trees
+    /// follow the requests'.
     pub spans: Vec<SpanRec>,
     /// Point markers in recording order.
     pub markers: Vec<MarkerRec>,
-    /// Raw engine occupancy fed in after the run.
-    pub occupancy: Vec<OccEntry>,
     /// `(request, outcome, at)` terminal states in recording order.
     pub outcomes: Vec<(usize, Outcome, Nanos)>,
+    /// `by_request[r]`: the range of `spans` holding request `r`'s tree
+    /// (empty if it never arrived), built once at assembly.
+    by_request: Vec<Range<usize>>,
 }
 
 impl TraceLog {
@@ -510,16 +633,33 @@ impl TraceLog {
         self.spans.iter().filter(|s| s.parent.is_none())
     }
 
+    /// The span range assembly indexed for `request` (empty if it never
+    /// arrived). [`crate::invariants::requests_contiguous`] checks that it
+    /// holds exactly the spans tagged with the request.
+    pub fn request_range(&self, request: usize) -> Range<usize> {
+        self.by_request.get(request).cloned().unwrap_or(0..0)
+    }
+
+    /// `request`'s spans: its tree, root first.
+    pub fn request_spans(&self, request: usize) -> &[SpanRec] {
+        &self.spans[self.request_range(request)]
+    }
+
     /// The root span of `request`'s tree, if it arrived.
     pub fn request_root(&self, request: usize) -> Option<&SpanRec> {
-        self.spans
+        self.request_spans(request)
             .iter()
-            .find(|s| s.parent.is_none() && s.request == Some(request))
+            .find(|s| s.parent.is_none())
     }
 
     /// Direct children of span `id`, in start order.
     pub fn children(&self, id: usize) -> Vec<&SpanRec> {
-        self.spans.iter().filter(|s| s.parent == Some(id)).collect()
+        // A request span's children live in its request's range.
+        let scope = match self.spans[id].request {
+            Some(request) => self.request_spans(request),
+            None => &self.spans,
+        };
+        scope.iter().filter(|s| s.parent == Some(id)).collect()
     }
 
     /// `children[i]` = direct child ids of span `i` (single pass).
@@ -536,12 +676,18 @@ impl TraceLog {
     /// Leaf spans of `request`'s tree in start order — its critical path
     /// (children tile their parents, so the leaves partition the root).
     pub fn leaves(&self, request: usize) -> Vec<&SpanRec> {
-        let has_child: std::collections::BTreeSet<usize> =
-            self.spans.iter().filter_map(|s| s.parent).collect();
-        let mut leaves: Vec<&SpanRec> = self
-            .spans
+        let range = self.request_range(request);
+        let mut has_child = vec![false; range.len()];
+        for span in &self.spans[range.clone()] {
+            if let Some(parent) = span.parent.filter(|p| range.contains(p)) {
+                has_child[parent - range.start] = true;
+            }
+        }
+        let mut leaves: Vec<&SpanRec> = self.spans[range.clone()]
             .iter()
-            .filter(|s| s.request == Some(request) && !has_child.contains(&s.id))
+            .zip(&has_child)
+            .filter(|(s, &inner)| s.request == Some(request) && !inner)
+            .map(|(s, _)| s)
             .collect();
         leaves.sort_by_key(|s| (s.start, s.id));
         leaves
@@ -609,77 +755,93 @@ impl TraceLog {
     }
 }
 
-/// Turns the flat event list into span trees.
+/// Stable counting sort: item indices grouped by key (each `< buckets`),
+/// in input order within a key. Returns `(starts, order)`; key `k`'s items
+/// are `order[starts[k]..starts[k + 1]]`.
+fn group_by_key(
+    buckets: usize,
+    keys: impl Iterator<Item = usize> + Clone,
+) -> (Vec<usize>, Vec<usize>) {
+    let mut starts = vec![0usize; buckets + 1];
+    for key in keys.clone() {
+        starts[key + 1] += 1;
+    }
+    for key in 0..buckets {
+        starts[key + 1] += starts[key];
+    }
+    let mut fill = starts.clone();
+    let mut order = vec![0; starts[buckets]];
+    for (i, key) in keys.enumerate() {
+        order[fill[key]] = i;
+        fill[key] += 1;
+    }
+    (starts, order)
+}
+
+/// Turns the recorded events into span trees.
 struct Assembler {
-    occupancy: Vec<OccEntry>,
-    occ_by_job: BTreeMap<usize, VecDeque<usize>>,
-    attempt_ends: BTreeMap<usize, Nanos>,
-    background_ends: BTreeMap<usize, Nanos>,
+    occupancy: Vec<Occ>,
+    /// Occupancy entries grouped by job (see [`group_by_key`]).
+    occ_starts: Vec<usize>,
+    occ_order: Vec<usize>,
+    /// Per job: the next entry of `occ_order` a step has not yet claimed.
+    occ_next: Vec<usize>,
+    ends: Vec<Option<Nanos>>,
+    resources: Vec<Label>,
+    /// "wait psp3"-style names, one per resource.
+    waits: Vec<Label>,
+    /// "backoff #n" names, by failure number.
+    backoffs: Vec<Label>,
     spans: Vec<SpanRec>,
 }
 
 impl Assembler {
     fn assemble(inner: Inner) -> TraceLog {
-        let mut occ_by_job: BTreeMap<usize, VecDeque<usize>> = BTreeMap::new();
-        for (i, entry) in inner.occupancy.iter().enumerate() {
-            occ_by_job.entry(entry.job).or_default().push_back(i);
-        }
-        let mut attempt_ends = BTreeMap::new();
-        let mut background_ends = BTreeMap::new();
-        let mut outcomes = Vec::new();
-        let mut per_request: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
-        let mut backgrounds: Vec<usize> = Vec::new();
-        for (i, ev) in inner.events.iter().enumerate() {
-            match ev {
-                Ev::Arrival { request, .. }
-                | Ev::Queued { request }
-                | Ev::AttemptStart { request, .. }
-                | Ev::RetryWait { request, .. } => per_request.entry(*request).or_default().push(i),
-                Ev::AttemptEnd { job, at } => {
-                    attempt_ends.insert(*job, *at);
-                }
-                Ev::Terminal {
-                    request,
-                    outcome,
-                    at,
-                } => {
-                    outcomes.push((*request, *outcome, *at));
-                    per_request.entry(*request).or_default().push(i);
-                }
-                Ev::Background { .. } => backgrounds.push(i),
-                Ev::BackgroundEnd { job, at } => {
-                    background_ends.insert(*job, *at);
-                }
-            }
-        }
-
+        let Inner {
+            events,
+            backgrounds,
+            ends,
+            outcomes,
+            markers,
+            resources,
+            occupancy,
+        } = inner;
+        let requests = events.iter().map(|e| e.request() + 1).max().unwrap_or(0);
+        let (ev_starts, ev_order) = group_by_key(requests, events.iter().map(Ev::request));
+        let jobs = occupancy.iter().map(|o| o.job + 1).max().unwrap_or(0);
+        let (occ_starts, occ_order) = group_by_key(jobs, occupancy.iter().map(|o| o.job));
+        let waits = resources
+            .iter()
+            .map(|name| Label::from(format!("wait {name}")))
+            .collect();
         let mut asm = Assembler {
-            occupancy: inner.occupancy,
-            occ_by_job,
-            attempt_ends,
-            background_ends,
+            occupancy,
+            occ_next: occ_starts[..jobs].to_vec(),
+            occ_starts,
+            occ_order,
+            ends,
+            resources,
+            waits,
+            backoffs: Vec::new(),
             spans: Vec::new(),
         };
-        for (request, idxs) in &per_request {
-            asm.request_tree(*request, idxs, &inner.events);
-        }
-        for idx in backgrounds {
-            if let Ev::Background {
-                job,
-                label,
-                host,
-                steps,
-                at,
-            } = &inner.events[idx]
-            {
-                asm.background_tree(*job, label, *host, steps, *at);
+        let mut by_request = vec![0..0; requests];
+        for (request, range) in by_request.iter_mut().enumerate() {
+            let idxs = &ev_order[ev_starts[request]..ev_starts[request + 1]];
+            let first = asm.spans.len();
+            asm.request_tree(request, idxs, &events);
+            if asm.spans.len() > first {
+                *range = first..asm.spans.len();
             }
+        }
+        for bg in &backgrounds {
+            asm.background_tree(bg);
         }
         TraceLog {
             spans: asm.spans,
-            markers: inner.markers,
-            occupancy: asm.occupancy,
+            markers,
             outcomes,
+            by_request,
         }
     }
 
@@ -690,9 +852,9 @@ impl Assembler {
         request: Option<usize>,
         host: Option<usize>,
         kind: SpanKind,
-        name: String,
+        name: Label,
         phase: Option<PhaseKind>,
-        resource: Option<String>,
+        resource: Option<Label>,
         start: Nanos,
         end: Nanos,
     ) -> usize {
@@ -710,6 +872,25 @@ impl Assembler {
             end,
         });
         id
+    }
+
+    /// The next occupancy entry of `job` no step has claimed yet.
+    fn next_occ(&mut self, job: usize) -> Option<Occ> {
+        let at = *self.occ_next.get(job)?;
+        if at == self.occ_starts[job + 1] {
+            return None;
+        }
+        self.occ_next[job] = at + 1;
+        Some(self.occupancy[self.occ_order[at]])
+    }
+
+    fn backoff_name(&mut self, attempt: u32) -> Label {
+        let attempt = attempt as usize;
+        while self.backoffs.len() <= attempt {
+            let n = self.backoffs.len();
+            self.backoffs.push(Label::from(format!("backoff #{n}")));
+        }
+        self.backoffs[attempt].clone()
     }
 
     /// Builds one request's tree from its event indices (recording order =
@@ -735,9 +916,8 @@ impl Assembler {
         let mut cursor = arrived;
         let mut queued = false;
         for &idx in idxs {
-            match events[idx].clone() {
-                Ev::Arrival { .. } | Ev::AttemptEnd { .. } | Ev::BackgroundEnd { .. } => {}
-                Ev::Background { .. } => {}
+            match &events[idx] {
+                Ev::Arrival { .. } => {}
                 Ev::Queued { .. } => queued = true,
                 Ev::RetryWait {
                     attempt,
@@ -745,36 +925,36 @@ impl Assembler {
                     until,
                     ..
                 } => {
-                    self.gap(root, request, cursor, from, queued);
+                    self.gap(root, request, cursor, *from, queued);
+                    let name = self.backoff_name(*attempt);
                     self.push_span(
                         Some(root),
                         Some(request),
                         None,
                         SpanKind::Backoff,
-                        format!("backoff #{attempt}"),
+                        name,
                         None,
                         None,
-                        from,
-                        until,
+                        *from,
+                        *until,
                     );
-                    cursor = until;
+                    cursor = *until;
                     queued = false;
                 }
                 Ev::AttemptStart {
                     job,
-                    label,
                     host,
-                    steps,
+                    launch,
                     at,
                     ..
                 } => {
-                    self.gap(root, request, cursor, at, queued);
-                    cursor = self.attempt(root, request, host, job, &label, &steps, at);
+                    self.gap(root, request, cursor, *at, queued);
+                    cursor = self.attempt(root, request, *host, *job, launch, *at);
                     queued = false;
                 }
                 Ev::Terminal { at, .. } => {
-                    self.gap(root, request, cursor, at, queued);
-                    cursor = at;
+                    self.gap(root, request, cursor, *at, queued);
+                    cursor = *at;
                 }
             }
         }
@@ -791,7 +971,7 @@ impl Assembler {
                 Some(request),
                 None,
                 SpanKind::Wait,
-                name.to_string(),
+                Label::new_static(name),
                 None,
                 None,
                 cursor,
@@ -801,15 +981,13 @@ impl Assembler {
     }
 
     /// Builds one attempt span with its step/wait children; returns its end.
-    #[allow(clippy::too_many_arguments)]
     fn attempt(
         &mut self,
         parent: usize,
         request: usize,
         host: Option<usize>,
         job: usize,
-        label: &str,
-        steps: &[WorkStep],
+        launch: &Launch,
         at: Nanos,
     ) -> Nanos {
         let attempt = self.push_span(
@@ -817,32 +995,33 @@ impl Assembler {
             Some(request),
             host,
             SpanKind::Attempt,
-            label.to_string(),
+            launch.label().clone(),
             None,
             None,
             at,
             at,
         );
-        let cur = self.steps(attempt, Some(request), host, job, steps, at);
-        let end = self.attempt_ends.get(&job).copied().unwrap_or(cur);
+        let cur = self.steps(attempt, Some(request), host, job, launch, at);
+        let end = self.ends.get(job).copied().flatten().unwrap_or(cur);
         self.spans[attempt].end = end;
         end
     }
 
-    /// Lays `steps` under `parent`, matching resource-bound steps against
-    /// the job's occupancy entries in order; gaps before an occupancy start
-    /// become resource-wait children. Returns the clock after the last step.
+    /// Lays the launch's steps under `parent`, matching resource-bound
+    /// steps against the job's occupancy entries in order; gaps before an
+    /// occupancy start become resource-wait children. Returns the clock
+    /// after the last step.
     fn steps(
         &mut self,
         parent: usize,
         request: Option<usize>,
         host: Option<usize>,
         job: usize,
-        steps: &[WorkStep],
+        launch: &Launch,
         at: Nanos,
     ) -> Nanos {
         let mut cur = at;
-        for step in steps {
+        for (step, duration) in launch.steps() {
             if step.class == ResourceClass::Network {
                 self.push_span(
                     Some(parent),
@@ -851,31 +1030,28 @@ impl Assembler {
                     SpanKind::Step,
                     step.label.clone(),
                     Some(step.phase),
-                    Some("network".to_string()),
+                    Some(Label::new_static("network")),
                     cur,
-                    cur + step.duration,
+                    cur + duration,
                 );
-                cur += step.duration;
+                cur += duration;
                 continue;
             }
-            let entry = self
-                .occ_by_job
-                .get_mut(&job)
-                .and_then(|queue| queue.pop_front())
-                .map(|i| self.occupancy[i].clone());
-            match entry {
-                Some(entry) => {
-                    if entry.start > cur {
+            match self.next_occ(job) {
+                Some(occ) => {
+                    let resource = self.resources[occ.resource].clone();
+                    if occ.start > cur {
+                        let name = self.waits[occ.resource].clone();
                         self.push_span(
                             Some(parent),
                             request,
                             host,
                             SpanKind::Wait,
-                            format!("wait {}", entry.resource),
+                            name,
                             None,
-                            Some(entry.resource.clone()),
+                            Some(resource.clone()),
                             cur,
-                            entry.start,
+                            occ.start,
                         );
                     }
                     self.push_span(
@@ -885,11 +1061,11 @@ impl Assembler {
                         SpanKind::Step,
                         step.label.clone(),
                         Some(step.phase),
-                        Some(entry.resource.clone()),
-                        entry.start,
-                        entry.end,
+                        Some(resource),
+                        occ.start,
+                        occ.end,
                     );
-                    cur = entry.end;
+                    cur = occ.end;
                 }
                 None => {
                     // No occupancy fed back (caller skipped `occupy`): fall
@@ -903,9 +1079,9 @@ impl Assembler {
                         Some(step.phase),
                         None,
                         cur,
-                        cur + step.duration,
+                        cur + duration,
                     );
-                    cur += step.duration;
+                    cur += duration;
                 }
             }
         }
@@ -913,27 +1089,20 @@ impl Assembler {
     }
 
     /// Builds one background job's tree (no request identity).
-    fn background_tree(
-        &mut self,
-        job: usize,
-        label: &str,
-        host: Option<usize>,
-        steps: &[WorkStep],
-        at: Nanos,
-    ) {
+    fn background_tree(&mut self, bg: &BackgroundEv) {
         let root = self.push_span(
             None,
             None,
-            host,
+            bg.host,
             SpanKind::Background,
-            label.to_string(),
+            bg.launch.label().clone(),
             None,
             None,
-            at,
-            at,
+            bg.at,
+            bg.at,
         );
-        let cur = self.steps(root, None, host, job, steps, at);
-        let end = self.background_ends.get(&job).copied().unwrap_or(cur);
+        let cur = self.steps(root, None, bg.host, bg.job, &bg.launch, bg.at);
+        let end = self.ends.get(bg.job).copied().flatten().unwrap_or(cur);
         self.spans[root].end = end;
     }
 }
@@ -946,15 +1115,28 @@ mod tests {
         Nanos::from_millis(v)
     }
 
-    fn psp_step(label: &str, dur: Nanos) -> WorkStep {
+    fn psp_step(label: &'static str, dur: Nanos) -> WorkStep {
         WorkStep::new(ResourceClass::Psp, PhaseKind::PreEncryption, label, dur)
+    }
+
+    fn launch(label: &'static str, steps: Vec<WorkStep>) -> Launch {
+        Launch::new(label.into(), steps.into())
+    }
+
+    /// Registers `names` on an engine, as a run does, and hands the
+    /// recorder the name table; returns the ids.
+    fn resources(rec: &mut Recorder, names: &[&str]) -> Vec<ResourceId> {
+        let mut engine = sevf_sim::DesEngine::new();
+        let ids = names.iter().map(|n| engine.add_resource(*n, 1)).collect();
+        rec.resource_names(engine.resource_names());
+        ids
     }
 
     #[test]
     fn disabled_recorder_builds_an_empty_log() {
         let mut rec = Recorder::disabled();
         assert!(!rec.on());
-        rec.arrival(0, "c", ms(0));
+        rec.arrival(0, &"c".into(), ms(0));
         rec.terminal(0, Outcome::Completed, ms(5));
         let log = rec.build();
         assert!(log.spans.is_empty());
@@ -964,14 +1146,15 @@ mod tests {
     #[test]
     fn one_request_tree_tiles_queue_wait_and_steps() {
         let mut rec = Recorder::enabled();
-        rec.arrival(0, "tiny", ms(0));
+        let psp = resources(&mut rec, &["psp"])[0];
+        rec.arrival(0, &"tiny".into(), ms(0));
         rec.queued(0);
         let steps = vec![psp_step("LAUNCH", ms(4))];
-        rec.attempt_start(0, 7, "tiny cold", None, steps, ms(2));
+        rec.attempt_start(0, 7, None, launch("tiny cold", steps), ms(2));
         rec.attempt_end(7, ms(8));
         rec.terminal(0, Outcome::Completed, ms(8));
         // The psp slot only freed at t=3: one extra wait inside the attempt.
-        rec.occupy("psp", 7, ms(3), ms(7));
+        rec.occupy(psp, 7, ms(3), ms(7));
         // Padding the job with trailing cpu-free time up to t=8 is the
         // attempt-end's business; the step ends at 7, attempt end is 8.
         let log = rec.build();
@@ -998,15 +1181,18 @@ mod tests {
     #[test]
     fn retry_backoff_appears_between_attempts() {
         let mut rec = Recorder::enabled();
-        rec.arrival(3, "tiny", ms(0));
-        rec.attempt_start(3, 0, "try 1", None, vec![psp_step("L", ms(2))], ms(0));
+        let psp = resources(&mut rec, &["psp"])[0];
+        rec.arrival(3, &"tiny".into(), ms(0));
+        let try1 = launch("try 1", vec![psp_step("L", ms(2))]);
+        rec.attempt_start(3, 0, None, try1, ms(0));
         rec.attempt_end(0, ms(2));
         rec.retry_wait(3, 1, ms(2), ms(5));
-        rec.attempt_start(3, 1, "try 2", None, vec![psp_step("L", ms(2))], ms(5));
+        let try2 = launch("try 2", vec![psp_step("L", ms(2))]);
+        rec.attempt_start(3, 1, None, try2, ms(5));
         rec.attempt_end(1, ms(7));
         rec.terminal(3, Outcome::Completed, ms(7));
-        rec.occupy("psp", 0, ms(0), ms(2));
-        rec.occupy("psp", 1, ms(5), ms(7));
+        rec.occupy(psp, 0, ms(0), ms(2));
+        rec.occupy(psp, 1, ms(5), ms(7));
         let log = rec.build();
         let root = log.request_root(3).unwrap();
         let kinds: Vec<SpanKind> = log.children(root.id).iter().map(|s| s.kind).collect();
@@ -1015,6 +1201,7 @@ mod tests {
             vec![SpanKind::Attempt, SpanKind::Backoff, SpanKind::Attempt]
         );
         assert_eq!(log.retry_waits(), 1);
+        assert_eq!(log.children(root.id)[1].name, "backoff #1");
         let total: Nanos = log.leaves(3).iter().map(|s| s.duration()).sum();
         assert_eq!(total, root.duration(), "leaves partition the root");
     }
@@ -1022,7 +1209,7 @@ mod tests {
     #[test]
     fn shed_request_is_a_zero_length_tree() {
         let mut rec = Recorder::enabled();
-        rec.arrival(1, "tiny", ms(4));
+        rec.arrival(1, &"tiny".into(), ms(4));
         rec.terminal(1, Outcome::Shed, ms(4));
         let log = rec.build();
         let root = log.request_root(1).unwrap();
@@ -1034,9 +1221,11 @@ mod tests {
     #[test]
     fn background_trees_carry_no_request() {
         let mut rec = Recorder::enabled();
-        rec.background(9, "refill tiny", None, vec![psp_step("L", ms(3))], ms(1));
+        let psp = resources(&mut rec, &["psp"])[0];
+        let refill = launch("refill tiny", vec![psp_step("L", ms(3))]);
+        rec.background(9, None, refill, ms(1));
         rec.background_end(9, ms(4));
-        rec.occupy("psp", 9, ms(1), ms(4));
+        rec.occupy(psp, 9, ms(1), ms(4));
         let log = rec.build();
         let root = log.roots().next().unwrap();
         assert_eq!(root.kind, SpanKind::Background);
@@ -1056,5 +1245,71 @@ mod tests {
         assert_eq!(log.total_faults(), 2);
         assert_eq!(log.failovers(), 1);
         assert_eq!(log.count_marker(MarkerKind::Placement { host: 1 }), 1);
+    }
+
+    #[test]
+    fn launch_overlay_cuts_the_shared_prefix_and_appends() {
+        let shared: Arc<[WorkStep]> = vec![
+            psp_step("A", ms(4)),
+            psp_step("B", Nanos::ZERO),
+            psp_step("C", ms(6)),
+        ]
+        .into();
+        let full = Launch::new("x".into(), shared.clone());
+        let plan = |l: &Launch| -> Vec<(String, Nanos)> {
+            l.steps().map(|(s, d)| (s.label.to_string(), d)).collect()
+        };
+        assert_eq!(plan(&full).len(), 3);
+        assert_eq!(full.psp_work(), ms(10));
+
+        // A cut takes whole steps while the budget lasts (zero-length ones
+        // included) and cuts the last one short.
+        let mut cut = full.clone();
+        cut.truncate(ms(7));
+        assert_eq!(
+            plan(&cut),
+            vec![
+                ("A".into(), ms(4)),
+                ("B".into(), Nanos::ZERO),
+                ("C".into(), ms(3))
+            ]
+        );
+        let mut exact = full.clone();
+        exact.truncate(ms(4));
+        assert_eq!(plan(&exact), vec![("A".into(), ms(4))]);
+        let mut none = full.clone();
+        none.truncate(Nanos::ZERO);
+        assert!(plan(&none).is_empty());
+
+        // Overlay steps follow the (possibly cut) prefix; the shared steps
+        // are never copied.
+        none.push(WorkStep::new(
+            ResourceClass::Network,
+            PhaseKind::Attestation,
+            "hang",
+            ms(2),
+        ));
+        assert_eq!(plan(&none), vec![("hang".into(), ms(2))]);
+        assert_eq!(none.psp_work(), Nanos::ZERO);
+        assert_eq!(Arc::strong_count(&shared), 5);
+    }
+
+    #[test]
+    fn request_spans_are_indexed_contiguously() {
+        let mut rec = Recorder::enabled();
+        for r in [2, 0] {
+            rec.arrival(r, &"tiny".into(), ms(r as u64));
+            rec.queued(r);
+        }
+        rec.terminal(0, Outcome::Shed, ms(3));
+        rec.terminal(2, Outcome::Shed, ms(4));
+        let log = rec.build();
+        assert_eq!(log.request_range(0), 0..2, "root + queue wait");
+        assert_eq!(log.request_range(1), 0..0, "never arrived");
+        assert_eq!(log.request_range(2), 2..4);
+        assert_eq!(log.request_range(99), 0..0);
+        assert!(log.request_root(1).is_none());
+        assert_eq!(log.request_root(2).unwrap().id, 2);
+        assert_eq!(log.leaves(2).len(), 1);
     }
 }

@@ -47,8 +47,9 @@ impl ResourceId {
         ResourceId(index)
     }
 
-    /// Raw index of this id.
-    pub(crate) fn index(self) -> usize {
+    /// Raw index of this id: engines hand ids out densely, in
+    /// registration order, so callers can key per-resource tables by it.
+    pub fn index(self) -> usize {
         self.0
     }
 }
@@ -312,6 +313,11 @@ impl DesEngine {
     /// Name of a resource (for reports).
     pub fn resource_name(&self, id: ResourceId) -> &str {
         &self.resources[id.0].name
+    }
+
+    /// Every resource's name, in [`ResourceId::index`] order.
+    pub fn resource_names(&self) -> impl Iterator<Item = &str> {
+        self.resources.iter().map(|r| r.name.as_str())
     }
 
     /// Capacity (parallel slots) of a resource.

@@ -186,6 +186,39 @@ fn cluster_spans_obey_the_battery_and_match_the_rollup() {
     assert_eq!(log.total_faults() as u64, m.faults);
 }
 
+/// The battery is linear in the log: each request's checks look only at
+/// its own span range, so a 20k-request run checks in about the time it
+/// takes to assemble.
+#[test]
+fn battery_checks_a_20k_request_cluster_run() {
+    use sevf_cluster::{ClusterConfig, ClusterService};
+
+    let requests = 20_000;
+    let config = ClusterConfig {
+        mix: Some(RequestMix::weighted(vec![(0, 3), (1, 1)])),
+        ..ClusterConfig::open_loop(4, ServingTier::Template, 400.0, requests)
+    };
+    let (report, log) = ClusterService::new(catalog(), config).unwrap().run_traced();
+    let m = &report.metrics;
+    assert_eq!(m.issued, requests);
+    assert!(m.completed > requests * 9 / 10, "{} completed", m.completed);
+
+    // Cluster latencies merge per host, not in completion order, so pair
+    // each completed request with its own root duration and check that
+    // the multiset of those durations is exactly the reported one.
+    let completed: Vec<(usize, Nanos)> = log
+        .requests_with_outcome(Outcome::Completed)
+        .into_iter()
+        .map(|r| (r, log.request_root(r).expect("root").duration()))
+        .collect();
+    invariants::check_completed(&log, &completed).unwrap();
+    let mut span_ms: Vec<f64> = completed.iter().map(|(_, d)| d.as_millis_f64()).collect();
+    let mut metric_ms = m.latencies_ms.clone();
+    span_ms.sort_by(f64::total_cmp);
+    metric_ms.sort_by(f64::total_cmp);
+    assert_eq!(span_ms, metric_ms);
+}
+
 #[test]
 fn tracing_never_changes_the_report() {
     let make = || {
@@ -400,4 +433,142 @@ fn registry_absorb_merges_counters_gauges_and_histograms() {
     assert_eq!(hist.count(), 2);
     assert_eq!(hist.counts()[1], 1);
     assert_eq!(hist.counts()[5], 1);
+}
+
+// ---------------------------------------------------------------------------
+// Pinned trace bytes
+// ---------------------------------------------------------------------------
+
+/// FNV-1a over the exporters' bytes: the Chrome trace, then every
+/// request's critical path, one slice per line.
+fn trace_digest(log: &TraceLog, requests: usize) -> u64 {
+    use std::fmt::Write as _;
+    let mut text = sevf_obs::chrome_trace_json(log);
+    for request in 0..requests {
+        for s in sevf_obs::critical_path(log, request) {
+            let _ = writeln!(
+                text,
+                "{request}|{}|{}|{}|{}",
+                s.phase,
+                s.name,
+                s.start.as_nanos(),
+                s.duration.as_nanos()
+            );
+        }
+    }
+    text.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// Every layer on at once: attestation with a TCB rollout, datacenter
+/// links with the detector and leases, WFQ with quotas and posture.
+fn all_layers_cluster_run() -> (sevf_cluster::ClusterReport, TraceLog) {
+    use sevf_attplane::AttPlaneConfig;
+    use sevf_cluster::{
+        ClusterConfig, ClusterService, PlacementPolicy, PolicySweepConfig, TcbRollout,
+    };
+    use sevf_net::{DetectorConfig, LeaseConfig, LinkSpec, NetConfig};
+    use sevf_policy::{PolicyConfig, Scheduler};
+
+    let sweep = PolicySweepConfig::quick();
+    let config = ClusterConfig {
+        mix: Some(RequestMix::weighted(vec![(0, 3), (1, 1)])),
+        placement: PlacementPolicy::JsqPsp,
+        seed: 0x5EF0,
+        recovery: RecoveryConfig::resilient(0x5EF0),
+        attestation: Some(AttPlaneConfig::cached_batched()),
+        tcb_rollout: Some(TcbRollout {
+            start: Nanos::from_millis(400),
+            stagger: Nanos::from_millis(100),
+        }),
+        net: Some(NetConfig {
+            link: LinkSpec::datacenter(),
+            partitions: Vec::new(),
+            horizon: Nanos::from_secs(10),
+            dispatch_timeout: Nanos::from_millis(50),
+            heartbeat_every: Nanos::from_millis(50),
+            detector: Some(DetectorConfig::default()),
+            lease: Some(LeaseConfig {
+                duration: Nanos::from_millis(300),
+                renew_every: Nanos::from_millis(100),
+            }),
+        }),
+        policy: Some(PolicyConfig {
+            tenants: sweep.tenants(),
+            scheduler: Scheduler::Wfq,
+            quotas: true,
+            posture: true,
+        }),
+        ..ClusterConfig::open_loop(3, ServingTier::Template, 160.0, 300)
+    };
+    ClusterService::new(catalog(), config).unwrap().run_traced()
+}
+
+/// The seeded storm on a warm-pool fleet with a remote verifier: aborted,
+/// dead-PSP and attestation-timeout launches, plus background refills.
+fn fault_storm_fleet_run() -> (sevf_fleet::service::FleetReport, TraceLog) {
+    use sevf_attplane::AttPlaneConfig;
+    use sevf_net::VerifierLink;
+
+    let requests = 300;
+    let plan = FaultPlan::generate(0x5EF0, FaultConfig::storm(), Nanos::from_secs(8)).unwrap();
+    let config = FleetConfig {
+        mix: Some(RequestMix::weighted(vec![(0, 3), (1, 1)])),
+        warm_target: 2,
+        fault: Some(plan),
+        // Retries without quiescing, so launches also dispatch into PSP
+        // outages and hang on the rebooting firmware.
+        recovery: RecoveryConfig {
+            quiesce: false,
+            ..RecoveryConfig::resilient(0x5EF0)
+        },
+        attestation: Some(AttPlaneConfig::cached_batched()),
+        verifier_net: Some(VerifierLink {
+            rtt: Nanos::from_micros(400),
+            blackouts: Vec::new(),
+        }),
+        ..FleetConfig::open_loop(ServingTier::WarmPool, 80.0, requests)
+    };
+    FleetService::new(catalog(), config).run_traced()
+}
+
+/// Digests of the two runs' exported bytes, pinned before launches were
+/// recorded as shared blueprints plus overlays. Any span, name, resource
+/// or marker that changes text changes these.
+const ALL_LAYERS_CLUSTER_DIGEST: u64 = 0x86b15fcc9a6c18bb;
+const FAULT_STORM_FLEET_DIGEST: u64 = 0xd126c3c2891c1021;
+
+#[test]
+fn traced_exports_match_the_pinned_bytes() {
+    let (report, log) = all_layers_cluster_run();
+    assert!(report.metrics.conserved());
+    assert!(log.count_marker(MarkerKind::TcbRollout) > 0);
+    assert!(log.count_marker(MarkerKind::PolicyAdmit) > 0);
+    let cluster = trace_digest(&log, report.metrics.issued);
+
+    let (report, log) = fault_storm_fleet_run();
+    let has = |pred: &dyn Fn(&sevf_obs::SpanRec) -> bool| log.spans.iter().any(pred);
+    assert!(has(&|s| s.name.ends_with("(aborted)")), "no aborted launch");
+    assert!(
+        has(&|s| s.name.ends_with("(dead psp)")),
+        "no dead-PSP launch"
+    );
+    assert!(
+        has(&|s| s.name == "attestation round trip times out"),
+        "no attestation timeout"
+    );
+    assert!(has(&|s| s.name == "att-rtt"), "no verifier round trip");
+    assert!(
+        has(&|s| s.kind == sevf_obs::SpanKind::Background),
+        "no refill"
+    );
+    assert!(report.metrics.completed > 0);
+    let fleet = trace_digest(&log, log.outcomes.len());
+
+    assert_eq!(
+        (cluster, fleet),
+        (ALL_LAYERS_CLUSTER_DIGEST, FAULT_STORM_FLEET_DIGEST),
+        "exported trace bytes changed"
+    );
 }
