@@ -92,12 +92,16 @@ cargo run --release --quiet --example cluster_scaling -- --quick --json > /tmp/c
 diff /tmp/ci_golden_cluster.json data/golden/cluster_scaling_quick.json
 rm -f /tmp/ci_golden_fleet.json /tmp/ci_golden_cluster.json
 
-# Benchmark correctness gate: the serving workloads' own checks
-# (conservation, zero posture violations, identical digests across the
-# traced and untraced passes). Only the verdict is gated, never a timing.
-for w in serve-attested serve-elastic; do
+# Benchmark correctness gate: each workload's own checks. paper-boot
+# regenerates the figures and compares them with data/fig{9,10,11,12}.json
+# and data/headline.json (one pass plus set-ups); the serving workloads
+# check conservation, zero posture violations and identical digests across
+# the traced and untraced passes. Only the verdict is gated, never a timing.
+for w in paper-boot serve-attested serve-elastic; do
+  secs=5
+  [[ "$w" == paper-boot ]] && secs=1
   echo "==> benchmark correctness: $w (verdict only; timings not gated)"
-  python3 benchmark/run.py --workload "$w" --seed 1 --seconds 5 --trace 0 \
+  python3 benchmark/run.py --workload "$w" --seed 1 --seconds "$secs" --trace 0 \
     | tail -n 1 > /tmp/ci_bench_verdict.json
   cat /tmp/ci_bench_verdict.json
   python3 -c 'import json, sys

@@ -12,6 +12,7 @@
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
 
+use crate::blob::Blob;
 use crate::content::{generate, ContentProfile};
 use crate::cpio::{build, CpioEntry};
 
@@ -28,7 +29,8 @@ pub const INIT_SCRIPT: &str = "#!/bin/sh\n\
     exec /bin/sev-attest --server \"$ATTEST_SERVER\" --wrap-key dh\n";
 
 /// Builds the attestation initrd CPIO with roughly `total_size` bytes of
-/// content (cached per size).
+/// content (cached per size, so every boot shares one copy and one
+/// digest).
 ///
 /// # Example
 ///
@@ -38,8 +40,8 @@ pub const INIT_SCRIPT: &str = "#!/bin/sh\n\
 /// assert!(entries.iter().any(|e| e.name == "init"));
 /// # Ok::<(), sevf_image::ImageError>(())
 /// ```
-pub fn build_initrd(total_size: u64) -> Arc<Vec<u8>> {
-    static CACHE: OnceLock<Mutex<HashMap<u64, Arc<Vec<u8>>>>> = OnceLock::new();
+pub fn build_initrd(total_size: u64) -> Arc<Blob> {
+    static CACHE: OnceLock<Mutex<HashMap<u64, Arc<Blob>>>> = OnceLock::new();
     let cache = CACHE.get_or_init(|| Mutex::new(HashMap::new()));
     if let Some(archive) = cache.lock().expect("initrd cache").get(&total_size) {
         return Arc::clone(archive);
@@ -84,7 +86,7 @@ pub fn build_initrd(total_size: u64) -> Arc<Vec<u8>> {
         "bin/busybox",
         generate(profile, busybox, b"busybox"),
     ));
-    let archive = Arc::new(build(&entries));
+    let archive = Arc::new(Blob::new(build(&entries)));
     cache
         .lock()
         .expect("initrd cache")

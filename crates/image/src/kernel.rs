@@ -20,10 +20,12 @@ use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
 
 use sevf_codec::Codec;
+use sevf_crypto::sha256;
 
+use crate::blob::Blob;
 use crate::bzimage;
 use crate::content::{generate, ContentProfile};
-use crate::elf::{ElfImage, Segment, SegmentFlags};
+use crate::elf::{ElfImage, Segment, SegmentFlags, EHDR_SIZE, PHDR_SIZE};
 use crate::ImageError;
 
 const MB: u64 = 1024 * 1024;
@@ -261,13 +263,15 @@ impl KernelConfig {
     }
 }
 
-/// A fully built kernel: the ELF vmlinux plus lazily built bzImages.
+/// A fully built kernel: the ELF vmlinux plus lazily built bzImages and
+/// lazily computed fw_cfg piece digests.
 #[derive(Debug)]
 pub struct KernelImage {
     config: KernelConfig,
     vmlinux: Vec<u8>,
     elf: ElfImage,
-    bzimages: Mutex<HashMap<Codec, Arc<Vec<u8>>>>,
+    bzimages: Mutex<HashMap<Codec, Arc<Blob>>>,
+    fw_cfg_digests: OnceLock<[[u8; 32]; 3]>,
 }
 
 impl KernelImage {
@@ -328,6 +332,7 @@ impl KernelImage {
             vmlinux,
             elf,
             bzimages: Mutex::new(HashMap::new()),
+            fw_cfg_digests: OnceLock::new(),
         }
     }
 
@@ -347,15 +352,38 @@ impl KernelImage {
     }
 
     /// The bzImage with the payload compressed by `codec` (built once and
-    /// cached).
-    pub fn bzimage(&self, codec: Codec) -> Arc<Vec<u8>> {
+    /// cached, so every boot shares one copy and one digest).
+    pub fn bzimage(&self, codec: Codec) -> Arc<Blob> {
         let mut cache = self.bzimages.lock().expect("bzimage lock");
         if let Some(bz) = cache.get(&codec) {
             return Arc::clone(bz);
         }
-        let bz = Arc::new(bzimage::build(&self.vmlinux, codec));
+        let bz = Arc::new(Blob::new(bzimage::build(&self.vmlinux, codec)));
         cache.insert(codec, Arc::clone(&bz));
         bz
+    }
+
+    /// The vmlinux as the fw_cfg loader of §5 transfers it: ELF header,
+    /// program headers and the loadable segment data, borrowed from the
+    /// vmlinux bytes (the same pieces as [`ElfImage::fw_cfg_pieces`]).
+    pub fn fw_cfg_pieces(&self) -> [&[u8]; 3] {
+        let phdrs_end = EHDR_SIZE + self.elf.segments.len() * PHDR_SIZE;
+        // `ElfImage::to_bytes` packs the segment data back to back at the
+        // end of the file.
+        let segments = self.vmlinux.len() - self.elf.loadable_bytes() as usize;
+        [
+            &self.vmlinux[..EHDR_SIZE],
+            &self.vmlinux[EHDR_SIZE..phdrs_end],
+            &self.vmlinux[segments..],
+        ]
+    }
+
+    /// The SHA-256 of each [`KernelImage::fw_cfg_pieces`] piece, in the
+    /// same order (computed on the first call, then reused).
+    pub fn fw_cfg_digests(&self) -> [[u8; 32]; 3] {
+        *self
+            .fw_cfg_digests
+            .get_or_init(|| self.fw_cfg_pieces().map(sha256))
     }
 
     /// The descriptor embedded at the entry point.
@@ -406,6 +434,18 @@ mod tests {
         let bz = image.bzimage(Codec::Lz4);
         let vmlinux = bzimage::unpack_vmlinux(&bz).unwrap();
         assert_eq!(vmlinux, image.vmlinux());
+    }
+
+    #[test]
+    fn fw_cfg_pieces_borrow_what_the_elf_splits_out() {
+        let image = KernelConfig::test_tiny().build();
+        let (ehdr, phdrs, segs) = image.elf().fw_cfg_pieces();
+        let pieces = image.fw_cfg_pieces();
+        assert_eq!(pieces, [&ehdr[..], &phdrs[..], &segs[..]]);
+        assert_eq!(
+            image.fw_cfg_digests(),
+            [sha256(&ehdr), sha256(&phdrs), sha256(&segs)]
+        );
     }
 
     #[test]

@@ -18,7 +18,10 @@
 //!   the from-scratch codecs land on Fig. 8's vmlinux/bzImage size pairs;
 //! * an embedded [`kernel::KernelDescriptor`] that tells the guest-kernel
 //!   runtime how long each boot phase takes, standing in for actually
-//!   executing Linux.
+//!   executing Linux;
+//! * a [`blob::Blob`] around each built bzImage and initrd that computes
+//!   the component's SHA-256 once, on first use (§4.3's out-of-band
+//!   hashing).
 //!
 //! # Example
 //!
@@ -35,6 +38,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod blob;
 pub mod bzimage;
 pub mod content;
 pub mod cpio;

@@ -211,7 +211,7 @@ mod tests {
         let private = mem
             .guest_read(layout.kernel_dest, bz.len() as u64, true)
             .unwrap();
-        assert_eq!(private, *bz);
+        assert_eq!(private, &bz[..]);
     }
 
     #[test]

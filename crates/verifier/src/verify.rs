@@ -277,7 +277,7 @@ mod tests {
         assert_eq!(
             mem.guest_read(boot.initrd_addr, boot.initrd_len, true)
                 .unwrap(),
-            *initrd
+            &initrd[..]
         );
     }
 

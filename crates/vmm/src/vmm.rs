@@ -4,6 +4,8 @@ use std::sync::Arc;
 
 use sevf_attest::{expected_measurement, AttestError, GuestAttestClient, MeasuredItem};
 use sevf_codec::Codec;
+use sevf_image::blob::Blob;
+use sevf_image::kernel::KernelImage;
 use sevf_image::ImageError;
 use sevf_mem::{GuestMemory, MemError};
 use sevf_ovmf::{OvmfImage, OVMF_BASE};
@@ -22,7 +24,7 @@ use crate::boot_params::BootParams;
 use crate::cmdline;
 use crate::config::{BootPolicy, KaslrMode, LaunchMode, VmConfig};
 use crate::guest_kernel::{self, GuestBootError};
-use crate::hashes_file::precomputed_hash_page;
+use crate::hashes_file::{precomputed_hash_page, StagedKernel};
 use crate::machine::Machine;
 use crate::mptable;
 use crate::report::{BootOutcome, BootReport};
@@ -99,13 +101,25 @@ pub(crate) struct LiveGuest {
     pub(crate) kernel_entry: u64,
 }
 
-/// Everything boot needs that is derivable from the config alone.
+/// Everything boot needs that is derivable from the config alone. The
+/// images are shared with the process-wide image caches, not copied.
 struct Artifacts {
-    kernel_bytes: Arc<Vec<u8>>,
-    initrd_bytes: Vec<u8>,
+    image: Arc<KernelImage>,
+    /// The kernel the verifier checks; `None` for a stock boot, which loads
+    /// the vmlinux segments directly.
+    kernel: Option<StagedKernel>,
+    initrd: Arc<Blob>,
     layout: GuestLayout,
     verifier: Option<VerifierBinary>,
-    ovmf: Option<OvmfImage>,
+    /// The §4.2 pre-encryption plan; empty for a stock boot.
+    plan: Vec<MeasuredItem>,
+}
+
+impl Artifacts {
+    /// The kernel an SEV boot stages for the verifier.
+    fn staged_kernel(&self) -> &StagedKernel {
+        self.kernel.as_ref().expect("sev policies stage a kernel")
+    }
 }
 
 impl MicroVm {
@@ -126,51 +140,47 @@ impl MicroVm {
 
     fn artifacts(&self) -> Result<Artifacts, VmmError> {
         let image = self.config.kernel.build();
-        let kernel_bytes: Arc<Vec<u8>> = match self.config.policy {
-            BootPolicy::Severifast | BootPolicy::QemuOvmf => {
-                image.bzimage(self.config.kernel_codec)
-            }
-            BootPolicy::SeverifastVmlinux => {
-                // fw_cfg staging: [ehdr][phdrs][segments] back to back.
-                let (ehdr, phdrs, segs) = image.elf().fw_cfg_pieces();
-                let mut staged = ehdr;
-                staged.extend_from_slice(&phdrs);
-                staged.extend_from_slice(&segs);
-                Arc::new(staged)
-            }
-            BootPolicy::StockFirecracker => Arc::new(image.vmlinux().to_vec()),
+        let kernel = match self.config.policy {
+            BootPolicy::Severifast | BootPolicy::QemuOvmf => Some(StagedKernel::BzImage(
+                image.bzimage(self.config.kernel_codec),
+            )),
+            BootPolicy::SeverifastVmlinux => Some(StagedKernel::FwCfg(Arc::clone(&image))),
+            BootPolicy::StockFirecracker => None,
         };
+        let kernel_size = kernel
+            .as_ref()
+            .map_or(image.vmlinux().len() as u64, StagedKernel::len);
         let raw_initrd = sevf_image::initrd::build_initrd(self.config.initrd_size);
-        let initrd_bytes = match self.config.initrd_codec {
-            Codec::None => (*raw_initrd).clone(),
-            codec => codec.compress(&raw_initrd),
+        let initrd = match self.config.initrd_codec {
+            Codec::None => raw_initrd,
+            codec => Arc::new(Blob::new(codec.compress(&raw_initrd))),
         };
         let layout = GuestLayout::plan_with_expansion(
             self.config.mem_size,
-            kernel_bytes.len() as u64,
-            initrd_bytes.len() as u64,
+            kernel_size,
+            initrd.len() as u64,
             self.config.policy.uses_bzimage(),
         )
         .map_err(VmmError::Layout)?;
-        let (verifier, ovmf) = match self.config.policy {
-            BootPolicy::Severifast => (
-                Some(VerifierBinary::build(VerifierFeatures::severifast())),
-                None,
-            ),
-            BootPolicy::SeverifastVmlinux => (
-                Some(VerifierBinary::build(VerifierFeatures::severifast_vmlinux())),
-                None,
-            ),
-            BootPolicy::QemuOvmf => (None, Some(OvmfImage::build())),
-            BootPolicy::StockFirecracker => (None, None),
+        let verifier = match self.config.policy {
+            BootPolicy::Severifast => Some(VerifierBinary::build(VerifierFeatures::severifast())),
+            BootPolicy::SeverifastVmlinux => {
+                Some(VerifierBinary::build(VerifierFeatures::severifast_vmlinux()))
+            }
+            BootPolicy::QemuOvmf | BootPolicy::StockFirecracker => None,
         };
-        Ok(Artifacts {
-            kernel_bytes,
-            initrd_bytes,
+        let mut artifacts = Artifacts {
+            image,
+            kernel,
+            initrd,
             layout,
             verifier,
-            ovmf,
-        })
+            plan: Vec::new(),
+        };
+        if self.config.policy.is_sev() {
+            artifacts.plan = self.plan_from_artifacts(&artifacts);
+        }
+        Ok(artifacts)
     }
 
     /// The ordered pre-encryption plan (firmware, hash page, boot_params,
@@ -184,17 +194,15 @@ impl MicroVm {
         if !self.config.policy.is_sev() {
             return Err(VmmError::Config("non-SEV boots pre-encrypt nothing"));
         }
-        let artifacts = self.artifacts()?;
-        self.plan_from_artifacts(&artifacts)
+        Ok(self.artifacts()?.plan)
     }
 
-    /// [`MicroVm::pre_encryption_plan`] over artifacts the caller already
-    /// built (the boot path holds them; rebuilding would re-hash the kernel).
-    fn plan_from_artifacts(&self, artifacts: &Artifacts) -> Result<Vec<MeasuredItem>, VmmError> {
+    /// Builds [`MicroVm::pre_encryption_plan`] from the other artifacts.
+    fn plan_from_artifacts(&self, artifacts: &Artifacts) -> Vec<MeasuredItem> {
         let mut items = Vec::new();
         match self.config.policy {
             BootPolicy::QemuOvmf => {
-                let ovmf = artifacts.ovmf.as_ref().expect("ovmf policy has image");
+                let ovmf = OvmfImage::build();
                 let mut data = ovmf.bytes().to_vec();
                 data.resize(ovmf.pre_encrypted_size() as usize, 0); // metadata pages
                 items.push(MeasuredItem {
@@ -215,11 +223,7 @@ impl MicroVm {
                 });
             }
         }
-        let hash_page = precomputed_hash_page(
-            self.config.policy,
-            &artifacts.kernel_bytes,
-            &artifacts.initrd_bytes,
-        )?;
+        let hash_page = precomputed_hash_page(artifacts.staged_kernel(), &artifacts.initrd);
         items.push(MeasuredItem {
             gpa: HASH_PAGE_ADDR,
             data: hash_page.to_page().to_vec(),
@@ -242,7 +246,7 @@ impl MicroVm {
             data: cmdline::to_page(&cmdline::default_cmdline()).to_vec(),
             label: "kernel command line",
         });
-        Ok(items)
+        items
     }
 
     /// The launch digest a correct boot of this VM must produce (§4.2's
@@ -252,13 +256,17 @@ impl MicroVm {
     ///
     /// [`VmmError::Config`] for non-SEV policies.
     pub fn expected_measurement(&self) -> Result<[u8; 48], VmmError> {
-        let items = self.pre_encryption_plan()?;
+        Ok(self.measurement_of(&self.pre_encryption_plan()?))
+    }
+
+    /// The launch digest of a pre-encryption plan.
+    fn measurement_of(&self, plan: &[MeasuredItem]) -> [u8; 48] {
         let vcpus = if self.config.generation.encrypts_vmsa() {
             self.config.vcpus
         } else {
             0
         };
-        Ok(expected_measurement(&items, vcpus))
+        expected_measurement(plan, vcpus)
     }
 
     /// Registers this VM's expected measurement with the machine's guest
@@ -342,21 +350,22 @@ impl MicroVm {
 
         // ---- SEV launch ----------------------------------------------------
         let template = if self.config.launch_mode == LaunchMode::SharedKeyTemplate {
+            let expected = self.measurement_of(&artifacts.plan);
             machine
                 .templates
-                .get(&self.expected_measurement()?)
-                .copied()
+                .get(&expected)
+                .map(|&guest| (guest, expected))
         } else {
             None
         };
         let (guest, mut mem, measurement) = match template {
-            Some(template_guest) => self.launch_shared(
+            Some(template) => self.launch_shared(
                 machine,
                 &mut tl,
                 &mut jitter,
                 &mut psp_busy,
                 &artifacts,
-                template_guest,
+                template,
             )?,
             None => {
                 let launched =
@@ -427,8 +436,7 @@ impl MicroVm {
             // memory. (Modeled with the machine RNG standing in for the
             // guest's RDRAND; the host never depends on the value.)
             let slide = if self.config.kaslr == KaslrMode::GuestSide {
-                let image = self.config.kernel.build();
-                Self::pick_slide(&mut machine.rng, &image, layout)
+                Self::pick_slide(&mut machine.rng, &artifacts.image, layout)
             } else {
                 0
             };
@@ -523,6 +531,7 @@ impl MicroVm {
     ) -> Result<(sevf_psp::GuestHandle, GuestMemory, [u8; 48]), VmmError> {
         let cost = machine.cost.clone();
         let layout = &artifacts.layout;
+        let kernel = artifacts.staged_kernel();
         let start = machine.psp.launch_start(self.config.generation)?;
         *psp_busy += start.work.duration;
         tl.push_on(
@@ -553,22 +562,21 @@ impl MicroVm {
         );
 
         // Stage plain-text components in the shared window.
-        mem.host_write(layout.kernel_staging, &artifacts.kernel_bytes)?;
+        kernel.stage(&mut mem, layout.kernel_staging)?;
         tl.push(
             PhaseKind::VmmSetup,
-            format!("stage kernel image ({} B)", artifacts.kernel_bytes.len()),
-            jitter.apply(cost.cpu_copy_plain(artifacts.kernel_bytes.len() as u64)),
+            format!("stage kernel image ({} B)", kernel.len()),
+            jitter.apply(cost.cpu_copy_plain(kernel.len())),
         );
-        mem.host_write(layout.initrd_staging, &artifacts.initrd_bytes)?;
+        mem.host_write(layout.initrd_staging, &artifacts.initrd)?;
         tl.push(
             PhaseKind::VmmSetup,
-            format!("stage initrd ({} B)", artifacts.initrd_bytes.len()),
-            jitter.apply(cost.cpu_copy_plain(artifacts.initrd_bytes.len() as u64)),
+            format!("stage initrd ({} B)", artifacts.initrd.len()),
+            jitter.apply(cost.cpu_copy_plain(artifacts.initrd.len() as u64)),
         );
 
         // Pre-encrypt the root of trust (the §4.2 plan, in order).
-        let plan = self.plan_from_artifacts(artifacts)?;
-        for item in &plan {
+        for item in &artifacts.plan {
             mem.host_write(item.gpa, &item.data)?;
             let work = machine.psp.launch_update_data(
                 guest,
@@ -623,10 +631,11 @@ impl MicroVm {
         jitter: &mut Jitter,
         psp_busy: &mut Nanos,
         artifacts: &Artifacts,
-        template: sevf_psp::GuestHandle,
+        (template, measurement): (sevf_psp::GuestHandle, [u8; 48]),
     ) -> Result<(sevf_psp::GuestHandle, GuestMemory, [u8; 48]), VmmError> {
         let cost = machine.cost.clone();
         let layout = &artifacts.layout;
+        let kernel = artifacts.staged_kernel();
         let start = machine.psp.launch_start_shared(template)?;
         *psp_busy += start.work.duration;
         tl.push_on(
@@ -642,21 +651,18 @@ impl MicroVm {
         );
 
         // Stage the shared-window components exactly as a full launch does.
-        mem.host_write(layout.kernel_staging, &artifacts.kernel_bytes)?;
-        mem.host_write(layout.initrd_staging, &artifacts.initrd_bytes)?;
+        kernel.stage(&mut mem, layout.kernel_staging)?;
+        mem.host_write(layout.initrd_staging, &artifacts.initrd)?;
         tl.push(
             PhaseKind::VmmSetup,
             "stage kernel image + initrd",
-            jitter.apply(cost.cpu_copy_plain(
-                (artifacts.kernel_bytes.len() + artifacts.initrd_bytes.len()) as u64,
-            )),
+            jitter.apply(cost.cpu_copy_plain(kernel.len() + artifacts.initrd.len() as u64)),
         );
 
         // Install the template's attested root-of-trust state: plain copies
         // under the shared key (no PSP involvement).
-        let plan = self.plan_from_artifacts(artifacts)?;
         let mut installed = 0u64;
-        for item in &plan {
+        for item in &artifacts.plan {
             mem.host_write(item.gpa, &item.data)?;
             mem.pre_encrypt(item.gpa, item.data.len() as u64)?;
             installed += item.data.len() as u64;
@@ -671,9 +677,9 @@ impl MicroVm {
         }
         tl.mark(EventChannel::VmmLog, "template-launch-ready");
 
-        // The measurement is the template's; recomputing it locally keeps
-        // the attestation path identical.
-        Ok((start.guest, mem, self.expected_measurement()?))
+        // The measurement is the template's (the one its lookup matched),
+        // so the attestation path is identical to a full launch.
+        Ok((start.guest, mem, measurement))
     }
 
     /// Picks a 2 MiB-aligned KASLR slide that keeps the loaded kernel below
@@ -713,13 +719,13 @@ impl MicroVm {
         let cost = _machine.cost.clone();
         let layout = &artifacts.layout;
         let mut mem = GuestMemory::new_plain(self.config.mem_size);
-        let image = self.config.kernel.build();
+        let image = &artifacts.image;
 
         // 1. Load the kernel ELF in one operation to where it will run —
         //    with in-monitor KASLR the VMM slides the whole image
         //    (Holmes et al., EuroSys'22; only possible without SEV, §8).
         let slide = if self.config.kaslr == KaslrMode::InMonitor {
-            Self::pick_slide(&mut _machine.rng, &image, layout)
+            Self::pick_slide(&mut _machine.rng, image, layout)
         } else {
             0
         };
@@ -738,16 +744,16 @@ impl MicroVm {
                         .scale(image.elf().segments.len() as u64),
             ),
         );
-        mem.host_write(layout.initrd_dest, &artifacts.initrd_bytes)?;
+        mem.host_write(layout.initrd_dest, &artifacts.initrd)?;
         tl.push(
             PhaseKind::VmmSetup,
             "load initrd",
-            jitter.apply(cost.cpu_copy_plain(artifacts.initrd_bytes.len() as u64)),
+            jitter.apply(cost.cpu_copy_plain(artifacts.initrd.len() as u64)),
         );
 
         // 2. Set up the data structures Linux needs.
         let mut layout_for_bp = layout.clone();
-        layout_for_bp.initrd_size = artifacts.initrd_bytes.len() as u64;
+        layout_for_bp.initrd_size = artifacts.initrd.len() as u64;
         let bp = BootParams::build(&self.config, &layout_for_bp);
         mem.host_write(BOOT_PARAMS_ADDR, &bp.to_page())?;
         mem.host_write(MPTABLE_ADDR, &mptable::build(self.config.vcpus))?;

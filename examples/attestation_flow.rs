@@ -122,7 +122,7 @@ fn demonstrate_kernel_swap(machine: &mut Machine) -> Result<(), Box<dyn std::err
         ..KernelConfig::test_tiny()
     }
     .build();
-    let mut evil_bz = (*evil.bzimage(Codec::Lz4)).clone();
+    let mut evil_bz = evil.bzimage(Codec::Lz4).to_vec();
     evil_bz.resize(good_bz.len(), 0);
     mem.host_write(layout.kernel_staging, &evil_bz)?;
     mem.host_write(layout.initrd_staging, &rd)?;

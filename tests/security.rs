@@ -1,7 +1,11 @@
 //! Workspace integration tests for the §2.6 trust-model guarantees — the
 //! five checks DESIGN.md commits to.
 
+use std::sync::Arc;
+
 use severifast::crypto::sha256;
+use severifast::experiments::ExperimentScale;
+use severifast::image::blob::Blob;
 use severifast::image::{initrd, kernel::KernelConfig};
 use severifast::mem::{GuestMemory, MemError};
 use severifast::prelude::*;
@@ -10,24 +14,34 @@ use severifast::verifier::hashes::{HashPage, KernelHashes};
 use severifast::verifier::layout::{GuestLayout, HASH_PAGE_ADDR, VERIFIER_ADDR};
 use severifast::verifier::verify::{self, VerifierConfig};
 use severifast::verifier::VerifierError;
+use severifast::vmm::hashes_file::{precomputed_hash_page, StagedKernel};
 
 const MB: u64 = 1024 * 1024;
 
 /// Stage a guest the way the VMM would, returning everything needed to run
 /// the verifier by hand.
 fn staged_guest() -> (Machine, GuestMemory, GuestLayout, Vec<u8>) {
+    staged_guest_with(|bz, rd| HashPage {
+        kernel: KernelHashes::WholeImage(sha256(bz)),
+        initrd: sha256(rd),
+    })
+}
+
+/// [`staged_guest`] with the hash page that `hash_page` builds for the
+/// staged bzImage and initrd.
+fn staged_guest_with(
+    hash_page: impl FnOnce(&Arc<Blob>, &Arc<Blob>) -> HashPage,
+) -> (Machine, GuestMemory, GuestLayout, Vec<u8>) {
     let mut machine = Machine::new(0x5EC);
     let image = KernelConfig::test_tiny().build();
-    let bz = (*image.bzimage(Codec::Lz4)).clone();
+    let bz_blob = image.bzimage(Codec::Lz4);
     let rd = initrd::build_initrd(64 * 1024);
+    let bz = bz_blob.to_vec();
     let start = machine.psp.launch_start(SevGeneration::SevSnp).unwrap();
     let mut mem = GuestMemory::new_sev(64 * MB, start.memory_key, SevGeneration::SevSnp);
     let layout = GuestLayout::plan(64 * MB, bz.len() as u64, rd.len() as u64).unwrap();
 
-    let hash_page = HashPage {
-        kernel: KernelHashes::WholeImage(sha256(&bz)),
-        initrd: sha256(&rd),
-    };
+    let hash_page = hash_page(&bz_blob, &rd);
     mem.host_write(HASH_PAGE_ADDR, &hash_page.to_page())
         .unwrap();
     let verifier = VerifierBinary::build(VerifierFeatures::severifast());
@@ -68,6 +82,73 @@ fn check_1_swapped_components_detected_by_verifier() {
         err,
         VerifierError::HashMismatch { .. } | VerifierError::Image(_)
     ));
+}
+
+#[test]
+fn memoized_hash_page_still_catches_a_flipped_kernel_byte() {
+    let production = |bz: &Arc<Blob>, rd: &Arc<Blob>| {
+        precomputed_hash_page(&StagedKernel::BzImage(Arc::clone(bz)), rd)
+    };
+    // The production page (stored digests) admits the honest components...
+    let (machine, mut mem, layout, _) = staged_guest_with(production);
+    verify::run(
+        &mut mem,
+        &layout,
+        &machine.cost,
+        VerifierConfig::severifast(),
+    )
+    .unwrap();
+    // ...and the verifier's re-hash of its private copy still refuses a
+    // kernel with one byte flipped after the digest was stored.
+    let (machine, mut mem, layout, bz) = staged_guest_with(production);
+    let mut tampered = bz;
+    let mid = tampered.len() / 2;
+    tampered[mid] ^= 0x01;
+    mem.host_write(layout.kernel_staging, &tampered).unwrap();
+    let err = verify::run(
+        &mut mem,
+        &layout,
+        &machine.cost,
+        VerifierConfig::severifast(),
+    )
+    .unwrap_err();
+    assert!(
+        matches!(
+            err,
+            VerifierError::HashMismatch {
+                component: "kernel"
+            }
+        ),
+        "{err:?}"
+    );
+}
+
+#[test]
+fn memoized_digests_equal_fresh_hashes_of_the_staged_bytes() {
+    // Every component a boot stages: each paper kernel's bzImage under
+    // every codec, its three fw_cfg pieces, and the initrd at quick and
+    // full size. The stored digest is read first, then checked against a
+    // fresh hash of the bytes.
+    for kernel in ExperimentScale::quick().kernels() {
+        let image = kernel.build();
+        for codec in Codec::ALL {
+            let bz = image.bzimage(codec);
+            let stored = bz.sha256();
+            assert_eq!(stored, sha256(&bz), "{} bzImage ({codec})", kernel.name);
+            assert_eq!(bz.sha256(), stored, "digest changed on reuse");
+        }
+        let (ehdr, phdrs, segs) = image.elf().fw_cfg_pieces();
+        assert_eq!(
+            image.fw_cfg_digests(),
+            [sha256(&ehdr), sha256(&phdrs), sha256(&segs)],
+            "{} fw_cfg pieces",
+            kernel.name
+        );
+    }
+    for size in [initrd::FULL_SIZE / 16, initrd::FULL_SIZE] {
+        let rd = initrd::build_initrd(size);
+        assert_eq!(rd.sha256(), sha256(&rd), "initrd of {size} B");
+    }
 }
 
 #[test]
