@@ -52,6 +52,34 @@ json_field() {
   awk -v k="\"$2\":" '$1 == k { gsub(/,/, "", $2); print $2; exit }' "$1"
 }
 
+# unsafe_gate — the workspace's unsafe surface is one audited call: every
+# library crate forbids `unsafe` except sevf-crypto, which denies it and
+# allows it only on the module holding the SHA-256 x86 SHA-extension path
+# (DESIGN.md §2, "External crates").
+unsafe_gate() {
+  echo "==> unsafe surface: forbid everywhere, one allowed module in sevf-crypto"
+  local lib want bad=0
+  for lib in crates/*/src/lib.rs; do
+    want='#![forbid(unsafe_code)]'
+    [[ "$lib" == crates/crypto/src/lib.rs ]] && want='#![deny(unsafe_code)]'
+    grep -qxF "$want" "$lib" || { echo "UNSAFE GATE: $lib lacks $want"; bad=1; }
+  done
+  local sha2=crates/crypto/src/sha2.rs allows line
+  allows=$(grep -rnE --include='*.rs' '(allow|expect)\(unsafe_code' \
+             crates src tests examples benchmark/src || true)
+  line=$(grep -nxF '#[allow(unsafe_code)]' "$sha2" | cut -d: -f1 || true)
+  if [[ "$allows" != "$sha2:$line:#[allow(unsafe_code)]" ]] \
+     || [[ $(sed -n "$((${line:-0} + 1))p" "$sha2") != "mod x86;" ]]; then
+    echo "UNSAFE GATE: allow(unsafe_code) must appear once, on sevf-crypto's"
+    echo "SHA-extension module (crates/crypto/src/sha2.rs, \`mod x86;\`). Found:"
+    echo "${allows:-<none>}"
+    bad=1
+  fi
+  [[ $bad == 0 ]] || exit 1
+}
+
+unsafe_gate
+
 if [[ "$mode" == quick ]]; then
   echo "==> cargo test -q (tier-1: root package, debug)"
   cargo test -q

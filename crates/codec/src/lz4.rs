@@ -124,6 +124,10 @@ fn compress_block(data: &[u8], out: &mut Vec<u8>) {
 
 /// Decompresses an "SVL4" container produced by [`compress`].
 ///
+/// The output is allocated once, at the declared length; literals go in as
+/// slice copies and matches as `extend_from_within` runs (one run when the
+/// match does not overlap its source, doubling runs when it does).
+///
 /// # Errors
 ///
 /// Returns a [`CodecError`] for bad magic, truncated streams, invalid
@@ -133,25 +137,16 @@ pub fn decompress(data: &[u8]) -> Result<Vec<u8>, CodecError> {
         return Err(CodecError::BadMagic);
     }
     let orig_len = u64::from_le_bytes(data[4..12].try_into().unwrap()) as usize;
-    // Cap the up-front reservation: a corrupted header must not be able to
-    // trigger a huge allocation before any payload is validated.
-    let mut out = Vec::with_capacity(orig_len.min(1 << 20));
     let mut input = &data[12..];
-
-    let read_varlen = |input: &mut &[u8], base: usize| -> Result<usize, CodecError> {
-        let mut value = base;
-        if base == 15 {
-            loop {
-                let (&b, rest) = input.split_first().ok_or(CodecError::Truncated)?;
-                *input = rest;
-                value += b as usize;
-                if b != 255 {
-                    break;
-                }
-            }
-        }
-        Ok(value)
-    };
+    // No stream produces more than 255 output bytes per input byte (one
+    // match-length extension byte adds 255), so a lying header cannot force
+    // an allocation beyond that.
+    let mut out = Vec::with_capacity(orig_len.min(input.len().saturating_mul(255)));
+    // Bytes the stream has produced so far. While `len <= orig_len` this is
+    // `out.len()`; past it the stream is already doomed, and the decoder
+    // only keeps counting so the error it reports matches the byte-wise
+    // definition of the format.
+    let mut len = 0usize;
 
     loop {
         let (&token, rest) = input.split_first().ok_or(CodecError::Truncated)?;
@@ -160,8 +155,12 @@ pub fn decompress(data: &[u8]) -> Result<Vec<u8>, CodecError> {
         if input.len() < lit_len {
             return Err(CodecError::Truncated);
         }
-        out.extend_from_slice(&input[..lit_len]);
-        input = &input[lit_len..];
+        let (literals, rest) = input.split_at(lit_len);
+        input = rest;
+        len += lit_len;
+        if len <= orig_len {
+            out.extend_from_slice(literals);
+        }
         if input.is_empty() {
             // Literal-only final sequence.
             break;
@@ -172,33 +171,243 @@ pub fn decompress(data: &[u8]) -> Result<Vec<u8>, CodecError> {
         let offset = u16::from_le_bytes([input[0], input[1]]) as usize;
         input = &input[2..];
         let match_len = read_varlen(&mut input, (token & 0x0f) as usize)? + MIN_MATCH;
-        if offset == 0 || offset > out.len() {
-            return Err(CodecError::InvalidBackReference { at: out.len() });
+        if offset == 0 || offset > len {
+            return Err(CodecError::InvalidBackReference { at: len });
         }
-        let start = out.len() - offset;
-        for i in 0..match_len {
-            let b = out[start + i];
-            out.push(b);
-        }
-        if out.len() > orig_len {
+        len += match_len;
+        if len > orig_len {
             return Err(CodecError::LengthMismatch {
                 expected: orig_len as u64,
-                actual: out.len() as u64,
+                actual: len as u64,
             });
         }
+        copy_match(&mut out, offset, match_len);
     }
-    if out.len() != orig_len {
+    if len != orig_len {
         return Err(CodecError::LengthMismatch {
             expected: orig_len as u64,
-            actual: out.len() as u64,
+            actual: len as u64,
         });
     }
     Ok(out)
 }
 
+/// Reads an LZ4 length: the token nibble `base`, plus extension bytes when
+/// the nibble is saturated.
+fn read_varlen(input: &mut &[u8], base: usize) -> Result<usize, CodecError> {
+    let mut value = base;
+    if base == 15 {
+        loop {
+            let (&b, rest) = input.split_first().ok_or(CodecError::Truncated)?;
+            *input = rest;
+            value += b as usize;
+            if b != 255 {
+                break;
+            }
+        }
+    }
+    Ok(value)
+}
+
+/// Appends `len` bytes copied from `offset` bytes back (`1 <= offset <=
+/// out.len()`). An overlapping match repeats its `offset`-byte source, so
+/// each run can copy everything appended so far: the runs double.
+fn copy_match(out: &mut Vec<u8>, offset: usize, len: usize) {
+    let start = out.len() - offset;
+    let mut left = len;
+    while left > 0 {
+        let run = left.min(out.len() - start);
+        out.extend_from_within(start..start + run);
+        left -= run;
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The byte-wise decoder [`decompress`] replaced: it grows the output
+    /// from 1 MiB and pushes match bytes one at a time. Kept as the
+    /// reference the bulk decoder must agree with, byte for byte and error
+    /// for error.
+    fn decompress_reference(data: &[u8]) -> Result<Vec<u8>, CodecError> {
+        if data.len() < 12 || &data[..4] != MAGIC {
+            return Err(CodecError::BadMagic);
+        }
+        let orig_len = u64::from_le_bytes(data[4..12].try_into().unwrap()) as usize;
+        let mut out = Vec::with_capacity(orig_len.min(1 << 20));
+        let mut input = &data[12..];
+        loop {
+            let (&token, rest) = input.split_first().ok_or(CodecError::Truncated)?;
+            input = rest;
+            let lit_len = read_varlen(&mut input, (token >> 4) as usize)?;
+            if input.len() < lit_len {
+                return Err(CodecError::Truncated);
+            }
+            out.extend_from_slice(&input[..lit_len]);
+            input = &input[lit_len..];
+            if input.is_empty() {
+                break;
+            }
+            if input.len() < 2 {
+                return Err(CodecError::Truncated);
+            }
+            let offset = u16::from_le_bytes([input[0], input[1]]) as usize;
+            input = &input[2..];
+            let match_len = read_varlen(&mut input, (token & 0x0f) as usize)? + MIN_MATCH;
+            if offset == 0 || offset > out.len() {
+                return Err(CodecError::InvalidBackReference { at: out.len() });
+            }
+            let start = out.len() - offset;
+            for i in 0..match_len {
+                let b = out[start + i];
+                out.push(b);
+            }
+            if out.len() > orig_len {
+                return Err(CodecError::LengthMismatch {
+                    expected: orig_len as u64,
+                    actual: out.len() as u64,
+                });
+            }
+        }
+        if out.len() != orig_len {
+            return Err(CodecError::LengthMismatch {
+                expected: orig_len as u64,
+                actual: out.len() as u64,
+            });
+        }
+        Ok(out)
+    }
+
+    /// Minimal xorshift64* generator (sevf-sim's RNG lives downstream of
+    /// this crate).
+    struct Rng(u64);
+
+    impl Rng {
+        fn new(seed: u64) -> Self {
+            Rng(seed | 1)
+        }
+
+        fn next_u64(&mut self) -> u64 {
+            let mut x = self.0;
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            self.0 = x;
+            x.wrapping_mul(0x2545_F491_4F6C_DD1D)
+        }
+
+        fn below(&mut self, bound: u64) -> u64 {
+            self.next_u64() % bound.max(1)
+        }
+    }
+
+    /// Seeded test input: runs, short repeats and noise, so the stream
+    /// mixes long literals, overlapping matches and far matches.
+    fn mixed_input(rng: &mut Rng, len: usize) -> Vec<u8> {
+        let mut data = Vec::with_capacity(len);
+        while data.len() < len {
+            let piece = 1 + rng.below(300) as usize;
+            match rng.below(4) {
+                0 => data.extend(std::iter::repeat_n(rng.next_u64() as u8, piece)),
+                1 => {
+                    let period = 1 + rng.below(7) as usize;
+                    let pattern: Vec<u8> = (0..period).map(|_| rng.next_u64() as u8).collect();
+                    data.extend(pattern.iter().cycle().take(piece));
+                }
+                2 if data.len() > 1 => {
+                    let from = rng.below(data.len() as u64) as usize;
+                    let end = (from + piece).min(data.len());
+                    data.extend_from_within(from..end);
+                }
+                _ => data.extend((0..piece).map(|_| rng.next_u64() as u8)),
+            }
+        }
+        data.truncate(len);
+        data
+    }
+
+    #[test]
+    fn bulk_decoder_agrees_with_bytewise_reference() {
+        let mut rng = Rng::new(0x1A_0004);
+        for case in 0..200 {
+            let len = match case % 4 {
+                0 => rng.below(40) as usize,
+                1 => rng.below(5_000) as usize,
+                2 => 20_000 + rng.below(100_000) as usize,
+                _ => 70_000 + rng.below(10) as usize,
+            };
+            let data = mixed_input(&mut rng, len);
+            let packed = compress(&data);
+            assert_eq!(decompress(&packed), Ok(data.clone()), "case {case}");
+            assert_eq!(decompress_reference(&packed), Ok(data), "case {case}");
+
+            let mut variants: Vec<Vec<u8>> = Vec::new();
+            // Truncation anywhere, including inside the header.
+            let cut = rng.below(packed.len() as u64) as usize;
+            variants.push(packed[..cut].to_vec());
+            // Header lengths that are too small, too large, or absurd.
+            for declared in [
+                len.saturating_sub(1 + rng.below(64) as usize),
+                len + 1 + rng.below(64) as usize,
+                usize::MAX,
+            ] {
+                let mut v = packed.clone();
+                v[4..12].copy_from_slice(&(declared as u64).to_le_bytes());
+                variants.push(v);
+            }
+            // Flipped payload bytes: these hit tokens, lengths and offsets
+            // (zero, too far, or merely wrong).
+            for _ in 0..4 {
+                if packed.len() > 12 {
+                    let mut v = packed.clone();
+                    let at = 12 + rng.below((packed.len() - 12) as u64) as usize;
+                    v[at] ^= 1 << rng.below(8);
+                    variants.push(v);
+                }
+            }
+            for (i, v) in variants.iter().enumerate() {
+                assert_eq!(
+                    decompress(v),
+                    decompress_reference(v),
+                    "case {case} variant {i}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn crafted_offsets_and_lengths_agree_with_reference() {
+        // One literal then a match: (literal count, offset, extension
+        // bytes of the match length, declared length).
+        let shapes: [(u8, u16, &[u8], u64); 8] = [
+            (4, 0, &[], 20),             // zero offset
+            (4, 5, &[], 20),             // offset reaches before the start
+            (4, 4, &[], 8),              // exact fit
+            (4, 1, &[255, 255, 3], 600), // long overlapping run
+            (4, 2, &[255, 7], 10),       // match overruns the declared length
+            (4, 3, &[], 1),              // literals alone overrun it
+            (4, 0, &[], 2),              // ... and then a zero offset
+            (4, 4, &[], u64::MAX),       // absurd declared length
+        ];
+        for (lits, offset, ext, declared) in shapes {
+            let mut stream = MAGIC.to_vec();
+            stream.extend_from_slice(&declared.to_le_bytes());
+            let nibble = if ext.is_empty() { 0 } else { 15 };
+            stream.push(lits << 4 | nibble);
+            stream.extend((0..lits).map(|i| b'a' + i));
+            stream.extend_from_slice(&offset.to_le_bytes());
+            stream.extend_from_slice(ext);
+            // Literal-only terminator.
+            stream.push(0x10);
+            stream.push(b'z');
+            assert_eq!(
+                decompress(&stream),
+                decompress_reference(&stream),
+                "offset {offset} ext {ext:?} declared {declared}"
+            );
+        }
+    }
 
     #[test]
     fn roundtrip_runs() {

@@ -3,7 +3,9 @@
 //! The SEVeriFast boot path leans on a small set of primitives:
 //!
 //! * **SHA-256** — the boot verifier hashes the kernel/initrd during measured
-//!   direct boot (the paper uses the `sha2` crate with x86 SHA extensions).
+//!   direct boot (the paper uses the `sha2` crate with x86 SHA extensions;
+//!   [`Sha256`] uses them too when the CPU has them, and a scalar compressor
+//!   otherwise).
 //! * **SHA-384** — the PSP chains `LAUNCH_UPDATE_DATA` pages into the SEV-SNP
 //!   launch digest and signs attestation reports over it.
 //! * **AES-128 (XEX mode)** — stands in for the memory-controller encryption
@@ -31,8 +33,15 @@
 //!
 //! This code is a simulation substrate for systems research; it is **not**
 //! hardened against side channels and must not be used to protect real data.
+//!
+//! # Unsafe code
+//!
+//! The crate denies `unsafe` everywhere except one module, the SHA-256
+//! x86 SHA-extension path. Its single `unsafe` block calls the
+//! `#[target_feature]` compressor after run-time CPU feature detection has
+//! confirmed the features it enables.
 
-#![forbid(unsafe_code)]
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod aes;

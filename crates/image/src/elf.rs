@@ -45,6 +45,121 @@ impl Segment {
     }
 }
 
+/// One loadable segment, borrowed from the ELF bytes it was parsed from.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SegmentView<'a> {
+    /// Virtual/physical load address.
+    pub vaddr: u64,
+    /// File contents of the segment.
+    pub data: &'a [u8],
+    /// Extra zero-initialized bytes beyond the file contents (bss).
+    pub bss: u64,
+    /// Permissions.
+    pub flags: SegmentFlags,
+}
+
+impl SegmentView<'_> {
+    /// Total in-memory size (file bytes + bss).
+    pub fn mem_size(&self) -> u64 {
+        self.data.len() as u64 + self.bss
+    }
+}
+
+/// A parsed ELF64 executable whose segments borrow the parsed bytes: a
+/// loader can place them without an intermediate copy.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ElfView<'a> {
+    /// Entry-point virtual address.
+    pub entry: u64,
+    /// Loadable segments, in program-header order.
+    pub segments: Vec<SegmentView<'a>>,
+}
+
+fn le_u64(bytes: &[u8], at: usize) -> u64 {
+    u64::from_le_bytes(bytes[at..at + 8].try_into().expect("8 bytes"))
+}
+
+/// The `len` bytes of `bytes` at `start`, if they lie inside.
+fn span(bytes: &[u8], start: u64, len: u64) -> Option<&[u8]> {
+    let end = usize::try_from(start.checked_add(len)?).ok()?;
+    bytes.get(usize::try_from(start).ok()?..end)
+}
+
+impl<'a> ElfView<'a> {
+    /// Parses ELF64 bytes produced by [`ElfImage::to_bytes`] (or any simple
+    /// static executable with LOAD segments). This is the crate's only ELF
+    /// parser; every header offset and size is bounds-checked without
+    /// overflow, so crafted headers are rejected rather than panicking.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ImageError::BadElf`] on malformed input.
+    pub fn parse(bytes: &'a [u8]) -> Result<Self, ImageError> {
+        if bytes.len() < EHDR_SIZE {
+            return Err(ImageError::BadElf("shorter than the ELF header"));
+        }
+        if &bytes[..4] != b"\x7fELF" {
+            return Err(ImageError::BadElf("bad magic"));
+        }
+        if bytes[4] != 2 {
+            return Err(ImageError::BadElf("not 64-bit"));
+        }
+        let entry = le_u64(bytes, 24);
+        let phoff = le_u64(bytes, 32);
+        let phentsize = u16::from_le_bytes(bytes[54..56].try_into().expect("2")) as usize;
+        let phnum = u16::from_le_bytes(bytes[56..58].try_into().expect("2")) as u64;
+        if phentsize != PHDR_SIZE {
+            return Err(ImageError::BadElf("unexpected program header size"));
+        }
+        let phdrs = span(bytes, phoff, phnum * PHDR_SIZE as u64)
+            .ok_or(ImageError::BadElf("program headers out of bounds"))?;
+        let mut segments = Vec::with_capacity(phnum as usize);
+        for ph in phdrs.chunks_exact(PHDR_SIZE) {
+            let p_type = u32::from_le_bytes(ph[0..4].try_into().expect("4"));
+            if p_type != 1 {
+                continue; // skip non-LOAD
+            }
+            let flags = u32::from_le_bytes(ph[4..8].try_into().expect("4"));
+            let p_offset = le_u64(ph, 8);
+            let vaddr = le_u64(ph, 16);
+            let filesz = le_u64(ph, 32);
+            let memsz = le_u64(ph, 40);
+            let data = span(bytes, p_offset, filesz)
+                .ok_or(ImageError::BadElf("segment data out of bounds"))?;
+            if memsz < filesz {
+                return Err(ImageError::BadElf("memsz smaller than filesz"));
+            }
+            segments.push(SegmentView {
+                vaddr,
+                data,
+                bss: memsz - filesz,
+                flags: SegmentFlags(flags),
+            });
+        }
+        if segments.is_empty() {
+            return Err(ImageError::BadElf("no loadable segments"));
+        }
+        Ok(ElfView { entry, segments })
+    }
+
+    /// Copies the segment bytes out into an owned [`ElfImage`].
+    pub fn to_owned(&self) -> ElfImage {
+        ElfImage {
+            entry: self.entry,
+            segments: self
+                .segments
+                .iter()
+                .map(|seg| Segment {
+                    vaddr: seg.vaddr,
+                    data: seg.data.to_vec(),
+                    bss: seg.bss,
+                    flags: seg.flags,
+                })
+                .collect(),
+        }
+    }
+}
+
 /// A parsed or constructed ELF64 executable.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ElfImage {
@@ -107,60 +222,14 @@ impl ElfImage {
     }
 
     /// Parses ELF64 bytes produced by [`ElfImage::to_bytes`] (or any simple
-    /// static executable with LOAD segments).
+    /// static executable with LOAD segments) into an owned image: an
+    /// [`ElfView`] with its segment bytes copied out.
     ///
     /// # Errors
     ///
     /// Returns [`ImageError::BadElf`] on malformed input.
     pub fn parse(bytes: &[u8]) -> Result<Self, ImageError> {
-        if bytes.len() < EHDR_SIZE {
-            return Err(ImageError::BadElf("shorter than the ELF header"));
-        }
-        if &bytes[..4] != b"\x7fELF" {
-            return Err(ImageError::BadElf("bad magic"));
-        }
-        if bytes[4] != 2 {
-            return Err(ImageError::BadElf("not 64-bit"));
-        }
-        let entry = u64::from_le_bytes(bytes[24..32].try_into().expect("8"));
-        let phoff = u64::from_le_bytes(bytes[32..40].try_into().expect("8")) as usize;
-        let phentsize = u16::from_le_bytes(bytes[54..56].try_into().expect("2")) as usize;
-        let phnum = u16::from_le_bytes(bytes[56..58].try_into().expect("2")) as usize;
-        if phentsize != PHDR_SIZE {
-            return Err(ImageError::BadElf("unexpected program header size"));
-        }
-        if phoff + phnum * PHDR_SIZE > bytes.len() {
-            return Err(ImageError::BadElf("program headers out of bounds"));
-        }
-        let mut segments = Vec::with_capacity(phnum);
-        for i in 0..phnum {
-            let ph = &bytes[phoff + i * PHDR_SIZE..phoff + (i + 1) * PHDR_SIZE];
-            let p_type = u32::from_le_bytes(ph[0..4].try_into().expect("4"));
-            if p_type != 1 {
-                continue; // skip non-LOAD
-            }
-            let flags = u32::from_le_bytes(ph[4..8].try_into().expect("4"));
-            let p_offset = u64::from_le_bytes(ph[8..16].try_into().expect("8")) as usize;
-            let vaddr = u64::from_le_bytes(ph[16..24].try_into().expect("8"));
-            let filesz = u64::from_le_bytes(ph[32..40].try_into().expect("8")) as usize;
-            let memsz = u64::from_le_bytes(ph[40..48].try_into().expect("8"));
-            if p_offset + filesz > bytes.len() {
-                return Err(ImageError::BadElf("segment data out of bounds"));
-            }
-            if memsz < filesz as u64 {
-                return Err(ImageError::BadElf("memsz smaller than filesz"));
-            }
-            segments.push(Segment {
-                vaddr,
-                data: bytes[p_offset..p_offset + filesz].to_vec(),
-                bss: memsz - filesz as u64,
-                flags: SegmentFlags(flags),
-            });
-        }
-        if segments.is_empty() {
-            return Err(ImageError::BadElf("no loadable segments"));
-        }
-        Ok(ElfImage { entry, segments })
+        ElfView::parse(bytes).map(|view| view.to_owned())
     }
 
     /// Splits the serialized form into the three pieces the fw_cfg loader
@@ -249,6 +318,52 @@ mod tests {
         // The pieces are enough to reconstruct a parseable image.
         let parsed = ElfImage::parse(&elf.to_bytes()).unwrap();
         assert_eq!(parsed.entry, elf.entry);
+    }
+
+    /// `sample()` bytes with one little-endian u64 overwritten.
+    fn patched(at: usize, value: u64) -> Vec<u8> {
+        let mut bytes = sample().to_bytes();
+        bytes[at..at + 8].copy_from_slice(&value.to_le_bytes());
+        bytes
+    }
+
+    #[test]
+    fn huge_phoff_rejected_without_overflow() {
+        let bytes = patched(32, u64::MAX);
+        assert_eq!(
+            ElfImage::parse(&bytes),
+            Err(ImageError::BadElf("program headers out of bounds"))
+        );
+    }
+
+    #[test]
+    fn huge_segment_offset_rejected_without_overflow() {
+        // p_offset of the first program header.
+        let bytes = patched(EHDR_SIZE + 8, u64::MAX - 2);
+        assert_eq!(
+            ElfImage::parse(&bytes),
+            Err(ImageError::BadElf("segment data out of bounds"))
+        );
+        // p_filesz likewise.
+        let bytes = patched(EHDR_SIZE + 32, u64::MAX);
+        assert_eq!(
+            ElfImage::parse(&bytes),
+            Err(ImageError::BadElf("segment data out of bounds"))
+        );
+    }
+
+    #[test]
+    fn view_borrows_what_the_owned_image_copies() {
+        let bytes = sample().to_bytes();
+        let view = ElfView::parse(&bytes).unwrap();
+        assert_eq!(view.to_owned(), sample());
+        let range = bytes.as_ptr_range();
+        for seg in &view.segments {
+            assert!(
+                range.contains(&seg.data.as_ptr()),
+                "segment data is a borrow"
+            );
+        }
     }
 
     #[test]

@@ -95,6 +95,38 @@ fn elf_garbage_never_panics() {
     for _ in 0..CASES {
         let _ = ElfImage::parse(&bytes(&mut rng, 0, 499));
     }
+    // Garbage that passes the ident checks, with huge offsets and sizes
+    // planted where the parser adds them: e_phoff, and each program
+    // header's p_offset and p_filesz.
+    let huge = |rng: &mut XorShift64| match rng.next_below(4) {
+        0 => u64::MAX,
+        1 => u64::MAX - rng.next_below(64),
+        2 => 1 << (32 + rng.next_below(32)),
+        _ => rng.next_u64(),
+    };
+    for _ in 0..CASES {
+        let mut data = bytes(&mut rng, 64 + 56, 499);
+        data[..5].copy_from_slice(b"\x7fELF\x02");
+        data[54..56].copy_from_slice(&56u16.to_le_bytes());
+        let phnum = data.len().saturating_sub(64) / 56;
+        data[56..58].copy_from_slice(&(phnum as u16).to_le_bytes());
+        data[32..40].copy_from_slice(&64u64.to_le_bytes());
+        for ph in data[64..].chunks_exact_mut(56) {
+            ph[0..4].copy_from_slice(&1u32.to_le_bytes());
+        }
+        let at = match rng.next_below(3) {
+            0 => 32,
+            field => {
+                let ph = 64 + 56 * rng.next_below(phnum as u64) as usize;
+                ph + if field == 1 { 8 } else { 32 }
+            }
+        };
+        data[at..at + 8].copy_from_slice(&huge(&mut rng).to_le_bytes());
+        assert!(matches!(
+            ElfImage::parse(&data),
+            Err(sevf_image::ImageError::BadElf(_))
+        ));
+    }
 }
 
 #[test]
@@ -137,7 +169,7 @@ fn bzimage_roundtrip_any_payload() {
         let bz = bzimage::build(&payload, codec);
         let (compressed, parsed_codec) = bzimage::parse(&bz).unwrap();
         assert_eq!(parsed_codec, codec);
-        assert_eq!(codec.decompress(&compressed).unwrap(), payload);
+        assert_eq!(codec.decompress(compressed).unwrap(), payload);
         assert_eq!(bzimage::unpack_vmlinux(&bz).unwrap(), payload);
     }
 }

@@ -356,6 +356,29 @@ impl GuestMemory {
         Ok(())
     }
 
+    /// Guest write of `len` zero bytes at `addr` (a loader clearing a
+    /// segment's bss). Checks the whole range as
+    /// [`GuestMemory::guest_write`] does before touching anything, and
+    /// never allocates a `len`-byte buffer, so an absurd `len` is an error,
+    /// not an allocation failure.
+    ///
+    /// # Errors
+    ///
+    /// Same conditions as [`GuestMemory::guest_write`].
+    pub fn guest_zero(&mut self, addr: u64, len: u64, encrypted: bool) -> Result<(), MemError> {
+        const ZEROS: [u8; PAGE_SIZE as usize] = [0; PAGE_SIZE as usize];
+        self.guest_check(addr, len, encrypted)?;
+        let actor = if encrypted { Actor::Guest } else { Actor::Host };
+        let end = addr + len;
+        let mut cur = addr;
+        while cur < end {
+            let take = (PAGE_SIZE - cur % PAGE_SIZE).min(end - cur);
+            self.raw_write(cur, &ZEROS[..take as usize], actor);
+            cur += take;
+        }
+        Ok(())
+    }
+
     /// Guest read; `encrypted` selects a C-bit (private) mapping.
     ///
     /// Reading a *private* page through a *shared* mapping (`encrypted =

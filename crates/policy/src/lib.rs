@@ -32,6 +32,8 @@
 //! (`Option::None` in the fleet/cluster configs) consumes zero randomness
 //! and leaves the host byte-identical to the pre-policy code path.
 
+#![forbid(unsafe_code)]
+
 pub mod engine;
 pub mod quota;
 pub mod spec;

@@ -156,9 +156,11 @@ pub fn load_vmlinux_fw_cfg(
         mem.guest_write(vaddr, &data, true)?;
         let private = mem.guest_read(vaddr, filesz, true)?;
         seg_hasher.update(&private);
-        // Zero the bss tail the segment declares.
+        // Zero the bss tail the segment declares. The program headers are
+        // host-staged and not yet checked against the hash page, so the
+        // span is range-checked before anything is written.
         if memsz > filesz {
-            mem.guest_write(vaddr + filesz, &vec![0u8; (memsz - filesz) as usize], true)?;
+            mem.guest_zero(vaddr + filesz, memsz - filesz, true)?;
         }
         staged_cursor += filesz;
         copied_total += memsz;

@@ -378,6 +378,40 @@ mod tests {
     }
 
     #[test]
+    fn tampered_staged_memsz_is_an_error_not_an_abort() {
+        // The host rewrites the first LOAD header's p_memsz after the
+        // hashes were registered. The bss it declares is far larger than
+        // guest memory; the loader must refuse it before allocating.
+        let image = KernelConfig::test_tiny().build();
+        let (ehdr, phdrs, segs) = image.elf().fw_cfg_pieces();
+        let mut staged = ehdr.clone();
+        staged.extend_from_slice(&phdrs);
+        staged.extend_from_slice(&segs);
+        let initrd = sevf_image::initrd::build_initrd(64 * 1024);
+        let (mut mem, layout) = prepare(
+            &staged,
+            &initrd,
+            KernelHashes::FwCfg {
+                ehdr: sevf_crypto::sha256(&ehdr),
+                phdrs: sevf_crypto::sha256(&phdrs),
+                segments: sevf_crypto::sha256(&segs),
+            },
+        );
+        let memsz_at = layout.kernel_staging + sevf_image::elf::EHDR_SIZE as u64 + 40;
+        mem.host_write(memsz_at, &(1u64 << 62).to_le_bytes())
+            .unwrap();
+        let config = VerifierConfig {
+            kind: KernelKind::Vmlinux,
+            ..VerifierConfig::severifast()
+        };
+        let err = run(&mut mem, &layout, &CostModel::calibrated(), config).unwrap_err();
+        assert!(matches!(
+            err,
+            VerifierError::Memory(sevf_mem::MemError::OutOfRange { .. })
+        ));
+    }
+
+    #[test]
     fn hash_mode_mismatch_rejected() {
         let (mut mem, layout) = bz_setup();
         let config = VerifierConfig {

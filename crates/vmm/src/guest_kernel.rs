@@ -14,7 +14,7 @@
 
 use sevf_image::bzimage;
 use sevf_image::cpio;
-use sevf_image::elf::ElfImage;
+use sevf_image::elf::ElfView;
 use sevf_image::kernel::KernelDescriptor;
 use sevf_mem::{GuestMemory, PAGE_SIZE};
 use sevf_sim::cost::{CostModel, SevGeneration};
@@ -118,7 +118,7 @@ pub fn run_bootstrap_loader_kaslr(
     let image = mem.guest_read(bzimage_addr, bzimage_len, true)?;
     let (payload, codec) = bzimage::parse(&image)?;
     let vmlinux = codec
-        .decompress(&payload)
+        .decompress(payload)
         .map_err(sevf_image::ImageError::from)?;
     steps.push(Step::new(
         format!(
@@ -129,16 +129,13 @@ pub fn run_bootstrap_loader_kaslr(
         ),
         cost.decompress(codec, vmlinux.len() as u64),
     ));
-    let elf = ElfImage::parse(&vmlinux)?;
+    // Segments are placed straight from the decompressed buffer.
+    let elf = ElfView::parse(&vmlinux)?;
     let mut placed = 0u64;
     for seg in &elf.segments {
-        mem.guest_write(seg.vaddr + slide, &seg.data, true)?;
+        mem.guest_write(seg.vaddr + slide, seg.data, true)?;
         if seg.bss > 0 {
-            mem.guest_write(
-                seg.vaddr + slide + seg.data.len() as u64,
-                &vec![0u8; seg.bss as usize],
-                true,
-            )?;
+            mem.guest_zero(seg.vaddr + slide + seg.data.len() as u64, seg.bss, true)?;
         }
         placed += seg.mem_size();
     }

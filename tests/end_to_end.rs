@@ -327,3 +327,58 @@ fn launch_digests_match_the_pinned_values() {
         .collect();
     assert_eq!(got, pinned);
 }
+
+/// What a boot report says about the boot itself: every span's label and
+/// duration, the outcome, the launch measurement and the PSP time.
+type BootFacts = (Vec<(String, Nanos)>, BootOutcome, Option<[u8; 48]>, Nanos);
+
+fn boot_facts(report: &BootReport) -> BootFacts {
+    let spans = report
+        .timeline
+        .spans()
+        .iter()
+        .map(|s| (s.label.clone(), s.duration))
+        .collect();
+    (
+        spans,
+        report.outcome.clone(),
+        report.measurement,
+        report.psp_busy,
+    )
+}
+
+#[test]
+fn boot_reports_do_not_depend_on_machine_history() {
+    // The paper drivers boot these twelve shapes (every policy × every
+    // paper kernel), each on a `Machine` that may already have booted
+    // others. A report must depend on the shape alone: the same on a fresh
+    // machine as on one that has booted every other shape first.
+    let scale = ExperimentScale::quick();
+    let shapes: Vec<(BootPolicy, KernelConfig)> = [
+        BootPolicy::StockFirecracker,
+        BootPolicy::Severifast,
+        BootPolicy::SeverifastVmlinux,
+        BootPolicy::QemuOvmf,
+    ]
+    .into_iter()
+    .flat_map(|policy| scale.kernels().into_iter().map(move |k| (policy, k)))
+    .collect();
+    assert_eq!(shapes.len(), 12);
+
+    let fresh: Vec<BootFacts> = shapes
+        .iter()
+        .map(|(policy, kernel)| {
+            let mut m = Machine::new(scale.seed);
+            boot_facts(&scale.boot(&mut m, *policy, kernel.clone()).unwrap())
+        })
+        .collect();
+    // Two rounds on one machine; in the second (reverse order) every boot
+    // follows all eleven other shapes.
+    let mut shared = Machine::new(scale.seed);
+    let order: Vec<usize> = (0..shapes.len()).chain((0..shapes.len()).rev()).collect();
+    for i in order {
+        let (policy, kernel) = &shapes[i];
+        let report = scale.boot(&mut shared, *policy, kernel.clone()).unwrap();
+        assert_eq!(boot_facts(&report), fresh[i], "{policy}/{}", kernel.name);
+    }
+}
